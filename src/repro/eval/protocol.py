@@ -14,8 +14,8 @@ sink while methods fit.
 
 Parallelism: ``run_experiment``, ``run_scenario_methods``, and
 :func:`run_table` all take ``workers`` — with ``workers >= 2`` the work
-fans out across a :class:`repro.parallel.ParallelExperimentEngine` worker
-pool (trials for a single experiment; (method, scenario) cells for the
+fans out over the experiment engine's :class:`repro.parallel.TaskPool`
+workers (trials for a single experiment; (method, scenario) cells for the
 sweeps) with bit-identical results to serial mode: the same per-trial
 seeds drive the same RNG streams, and the parent reassembles per-trial
 metrics in trial order before averaging. Datasets and document matrices
@@ -416,8 +416,6 @@ def run_table(
     workers: int = 0,
     telemetry_dir=None,
     max_task_retries: int = 2,
-    start_method: str | None = None,
-    share_documents: bool = True,
     **generator_overrides,
 ) -> list[ExperimentResult]:
     """Evaluate a full methods × scenarios table through the engine.
@@ -460,6 +458,4 @@ def run_table(
         workers=workers,
         telemetry_dir=telemetry_dir,
         max_task_retries=max_task_retries,
-        start_method=start_method,
-        share_documents=share_documents,
     )

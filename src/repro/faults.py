@@ -170,7 +170,8 @@ class NonFiniteGradientInjector(_ScheduledFault):
 
 
 class WorkerKillPlan:
-    """Deterministic worker-process deaths for the parallel engine.
+    """Deterministic worker-process deaths for :class:`~repro.parallel.TaskPool`
+    workloads (the experiment engine and the tuner).
 
     ``kills`` is a set of ``(task_index, attempt)`` coordinates: a worker
     about to execute that attempt of that task instead dies on the spot
@@ -191,18 +192,6 @@ class WorkerKillPlan:
     def should_kill(self, task_index: int, attempt: int) -> bool:
         """Whether this attempt of this task is scheduled to die."""
         return (task_index, attempt) in self.kills
-
-    def maybe_kill(self, task_index: int, attempt: int) -> None:
-        """Die via ``os._exit`` if (task_index, attempt) is scheduled.
-
-        Callers that share ``multiprocessing.Queue`` objects with other
-        processes should instead check :meth:`should_kill`, drain their
-        queue feeder threads, and then exit — dying while a feeder thread
-        holds the queue's write lock would wedge every other writer (the
-        engine does exactly this dance).
-        """
-        if self.should_kill(task_index, attempt):
-            os._exit(self.EXIT_CODE)
 
 
 class ServeKillPlan:

@@ -192,7 +192,7 @@ def summarize_run(events: list[dict]) -> dict:
                 "tasks_done": event.get("tasks_done", 0),
                 "utilization": busy / total if total > 0 else 0.0,
             }
-        elif kind in ("task", "pool_task"):
+        elif kind == "task":
             status = event.get("status", "ok")
             summary["tasks"][status] = summary["tasks"].get(status, 0) + 1
         elif kind == "serve_score":

@@ -52,12 +52,13 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     # Dataset I/O (repro.data.io)
     "dataset_load": ("path", "domain", "records"),
     "dataset_save": ("path", "domain", "records"),
-    # Parallel engine (repro.parallel.engine / repro.obs.merge)
+    # Task pool workers (repro.parallel.pool / repro.obs.merge); engine
+    # cells add method/scenario labels to "task"
     "worker_start": ("worker", "generation"),
     "worker_end": ("worker", "busy_seconds", "idle_seconds", "tasks_done"),
-    "task": ("task", "worker", "method", "scenario", "status", "seconds"),
+    "task": ("task", "worker", "status", "seconds"),
     "merge": ("shards", "events"),
-    # Generic preemptible task pool (repro.parallel.pool)
+    # No longer emitted; kept so run.jsonl files that carry it still validate
     "pool_task": ("task", "worker", "status", "seconds"),
     # Hyperparameter tuner (repro.tune)
     "tune_trial": ("trial", "rung", "status"),

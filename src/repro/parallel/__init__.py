@@ -5,12 +5,12 @@ across a pool of worker processes with bit-identical results to serial
 execution. Bulk data — generated datasets and document matrices —
 travels through ``multiprocessing.shared_memory`` segments published
 once by the parent (:mod:`~repro.parallel.shm`,
-:mod:`~repro.parallel.sharing`); supervision, crash recovery and
-telemetry sharding live in :mod:`~repro.parallel.engine` for finite task
-batches, :mod:`~repro.parallel.pool` for dynamically submitted,
-cancelable/preemptible tasks (the hyperparameter tuner's substrate), and
-:mod:`~repro.parallel.supervisor` for long-lived request loops (the
-serving daemon's fleet).
+:mod:`~repro.parallel.sharing`). Worker processes are created in one
+place, :mod:`~repro.parallel.supervisor` (spawn, death detection,
+respawn, stop), which runs the serving daemon's fleet and
+:mod:`~repro.parallel.pool`, the cancelable task pool with crash requeue
+and telemetry sharding; :mod:`~repro.parallel.engine` (experiment cells)
+and the hyperparameter tuner are workloads on that pool.
 """
 
 from .engine import ExperimentTask, ParallelExecutionError, run_tasks

@@ -1,65 +1,54 @@
 """Deterministic multiprocess execution of experiment tasks.
 
 The engine takes a list of :class:`ExperimentTask` cells — each "run
-method M on scenario S for trials T with seed σ" — and executes them
-either inline (``workers < 2``) or across a pool of worker processes,
-with **bit-identical results** in both modes and against a plain serial
-:func:`~repro.eval.protocol.run_experiment` loop. The contract rests on
-three facts:
+method M on scenario S for trials T with seed σ" — and executes them as a
+:class:`~repro.parallel.pool.TaskPool` workload (submit every cell, drain,
+cancel nothing), either inline (``workers < 2``) or across worker
+processes, with **bit-identical results** in both modes and against a
+plain serial :func:`~repro.eval.protocol.run_experiment` loop. The
+contract rests on three facts:
 
 * every task carries explicit seeds; trial ``t`` of a cell always uses
   ``seed + trial_offset + t``, no matter which worker runs it or in what
   order;
-* generated worlds are built **once** by the parent (generation is a
-  deterministic function of the scenario) and shipped to workers through
-  ``multiprocessing.shared_memory`` with review order preserved exactly
-  (see :mod:`repro.parallel.sharing`), so every index and RNG draw in a
-  worker matches the parent's;
-* per-trial metrics come back labeled by task index and are reduced by
-  the caller in trial order, so the float reductions see the same values
-  in the same order as a serial run.
+* generated worlds and OmniMatch document stores are built **once** by
+  the parent (generation is a deterministic function of the scenario) and,
+  with workers, shipped through ``multiprocessing.shared_memory`` with
+  review order preserved exactly (see :mod:`repro.parallel.sharing`), so
+  every index and RNG draw in a worker matches the parent's;
+* per-trial metrics come back labeled by task and are reduced by the
+  caller in trial order, so the float reductions see the same values in
+  the same order as a serial run.
 
-Supervision: each worker owns a private task queue and reports on a
-shared result queue, so the parent always knows which task is in flight
-where. A worker that dies (killed, segfault, an injected
-:class:`~repro.faults.WorkerKillPlan` death) is detected by liveness
-polling; its in-flight task is requeued with ``attempt + 1`` (bounded by
-``max_task_retries``) and a replacement worker is spawned with a fresh
-telemetry shard. A task that *raises* is not retried — exceptions are
-deterministic, so a retry would fail identically — the error propagates
-as :class:`ParallelExecutionError`.
+Supervision is the pool's: a worker that dies (killed, segfault, an
+injected :class:`~repro.faults.WorkerKillPlan` death) has its cell
+requeued with ``attempt + 1`` (bounded by ``max_task_retries``) on a
+respawned worker; a cell that *raises* is not retried — exceptions are
+deterministic — and surfaces as :class:`ParallelExecutionError`.
 
 Telemetry: pass ``telemetry_dir`` and each worker streams its events to
-its own ``run-w<id>g<gen>.jsonl`` shard; after a successful run the
+its own ``run-w<id>g<gen>.jsonl`` shard (one ``task`` event per cell,
+labeled with ``method`` and ``scenario``); after a successful run the
 shards are merged into one schema-valid ``run.jsonl`` (see
 :func:`repro.obs.merge_shards`) that ``repro report`` consumes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
-import os
-import queue as queue_module
-import time
-import traceback
-from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..core import OmniMatchConfig
 from ..data import CrossDomainDataset, cold_start_split, generate_scenario
 from ..data.batching import DocumentStore
-from ..obs import TelemetrySink
+from .pool import TaskContext, TaskPool, TaskPoolError
 from .sharing import (
-    SharedDatasetRef,
-    SharedStoreRef,
-    attach_dataset,
-    attach_document_store,
     publish_dataset,
     publish_document_matrices,
+    resolve_dataset,
+    resolved_store,
 )
-from .shm import ShmPack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..eval.protocol import ExperimentResult
@@ -68,16 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ExperimentTask", "ParallelExecutionError", "run_tasks"]
 
 #: Methods that consume a pre-built document store (others ignore it, so
-#: publishing matrices for them would be wasted parent-side work).
+#: building one for them would be wasted parent-side work).
 _STORE_METHODS = frozenset({"OmniMatch"})
 
-#: How many attached datasets a worker keeps alive (tasks usually arrive
-#: grouped by world, so two covers the transition between worlds).
-_WORKER_DATASET_CACHE = 2
-
-
-class ParallelExecutionError(RuntimeError):
-    """A task failed in a worker, or exhausted its death-retry budget."""
+#: The engine's failures are the pool's; the old name stays importable.
+ParallelExecutionError = TaskPoolError
 
 
 @dataclass(frozen=True)
@@ -85,9 +69,7 @@ class ExperimentTask:
     """One (method, scenario) cell — or a slice of one — to execute.
 
     ``trial_offset`` renumbers the trials so a cell split across workers
-    still derives the serial per-trial seeds; ``attempt`` counts how many
-    times a worker died while holding this task (it is engine-internal
-    and feeds the deterministic :class:`~repro.faults.WorkerKillPlan`).
+    still derives the serial per-trial seeds.
     """
 
     index: int
@@ -102,7 +84,6 @@ class ExperimentTask:
     config: OmniMatchConfig | None
     generator_overrides: tuple[tuple[str, object], ...]
     emit_summary: bool
-    attempt: int = 0
 
     def world_key(self) -> tuple:
         """Tasks with equal keys share one generated world."""
@@ -113,59 +94,24 @@ class ExperimentTask:
         return f"{self.source} -> {self.target}"
 
 
-@dataclass(frozen=True)
-class _TaskPayload:
-    """What actually travels over a worker's task queue."""
+def _run_cell(
+    ctx: TaskContext, task: ExperimentTask, dataset, stores: dict
+) -> "ExperimentResult":
+    """Pool task: one cell against its world and per-trial stores.
 
-    task: ExperimentTask
-    dataset_ref: SharedDatasetRef
-    store_refs: tuple[tuple[int, SharedStoreRef], ...]
-
-
-@dataclass
-class _WorkerState:
-    process: multiprocessing.Process
-    task_queue: "multiprocessing.Queue"
-    generation: int
-    in_flight: ExperimentTask | None = None
-
-
-def _doc_config(config: OmniMatchConfig | None) -> OmniMatchConfig:
-    return config if config is not None else OmniMatchConfig()
-
-
-def _trial_seeds(task: ExperimentTask) -> list[int]:
-    return [task.seed + task.trial_offset + i for i in range(task.trials)]
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _execute_payload(payload: _TaskPayload, dataset_cache: dict, sink) -> "ExperimentResult":
-    """Run one task against shared-memory data; used only in workers."""
+    ``dataset`` and the ``stores`` values (keyed by trial seed) are
+    shared-memory refs in worker mode and the parent's objects inline.
+    """
     from ..eval.protocol import run_experiment
 
-    task = payload.task
-    cache_key = payload.dataset_ref.shm.name
-    dataset = dataset_cache.get(cache_key)
-    if dataset is None:
-        if len(dataset_cache) >= _WORKER_DATASET_CACHE:
-            dataset_cache.clear()
-        dataset = attach_dataset(payload.dataset_ref)
-        dataset_cache[cache_key] = dataset
+    world = resolve_dataset(dataset)
+    with ExitStack() as attached:
 
-    store_map = dict(payload.store_refs)
-    attached_packs = []
+        def store_provider(ds, split, trial_seed):
+            return attached.enter_context(
+                resolved_store(stores.get(trial_seed), ds, split)
+            )
 
-    def store_provider(ds, split, trial_seed):
-        ref = store_map.get(trial_seed)
-        if ref is None:
-            return None
-        store = attach_document_store(ref, ds, split)
-        attached_packs.append(store.attached_pack)
-        return store
-
-    try:
         return run_experiment(
             task.method,
             task.dataset_name,
@@ -175,113 +121,14 @@ def _execute_payload(payload: _TaskPayload, dataset_cache: dict, sink) -> "Exper
             train_fraction=task.train_fraction,
             seed=task.seed,
             config=task.config,
-            dataset=dataset,
-            telemetry=sink,
+            dataset=world,
+            telemetry=ctx.sink,
             trial_offset=task.trial_offset,
             emit_summary=task.emit_summary,
-            store_provider=store_provider if store_map else None,
+            store_provider=store_provider if stores else None,
         )
-    finally:
-        for pack in attached_packs:
-            pack.close()
 
 
-def _worker_main(
-    worker_id: int,
-    generation: int,
-    task_queue,
-    result_queue,
-    telemetry_dir,
-    default_dtype: str,
-    fast_math: bool,
-    kill_plan: "WorkerKillPlan | None",
-) -> None:
-    """Worker loop: pull payloads until the ``None`` sentinel arrives."""
-    from ..nn.tensor import set_default_dtype, set_fast_math
-
-    # Mirror the parent's numeric configuration: with the spawn start
-    # method (or a parent that toggled flags after import) the module
-    # defaults would otherwise silently diverge from the serial run.
-    set_default_dtype(default_dtype)
-    set_fast_math(fast_math)
-
-    sink = None
-    if telemetry_dir is not None:
-        sink = TelemetrySink(
-            telemetry_dir,
-            filename=f"run-w{worker_id}g{generation}.jsonl",
-            run_id=f"w{worker_id}g{generation}",
-        )
-        sink.emit("worker_start", worker=worker_id, generation=generation, pid=os.getpid())
-        sink.flush()
-
-    started = time.perf_counter()
-    busy_seconds = 0.0
-    tasks_done = 0
-    dataset_cache: dict = {}
-    try:
-        while True:
-            payload = task_queue.get()
-            if payload is None:
-                break
-            task = payload.task
-            if kill_plan is not None and kill_plan.should_kill(task.index, task.attempt):
-                # Abrupt death — but only after draining this process's
-                # result-queue feeder thread: _exit while the feeder holds
-                # the shared write lock would wedge every other worker.
-                result_queue.close()
-                result_queue.join_thread()
-                os._exit(kill_plan.EXIT_CODE)
-            task_start = time.perf_counter()
-            try:
-                result = _execute_payload(payload, dataset_cache, sink)
-            except Exception:
-                if sink is not None:
-                    sink.emit(
-                        "task",
-                        task=task.index,
-                        worker=worker_id,
-                        method=task.method,
-                        scenario=task.scenario,
-                        status="error",
-                        seconds=time.perf_counter() - task_start,
-                        attempt=task.attempt,
-                    )
-                    sink.flush()
-                result_queue.put(("err", worker_id, task.index, traceback.format_exc()))
-                continue  # stay alive; the parent decides (it raises)
-            seconds = time.perf_counter() - task_start
-            busy_seconds += seconds
-            tasks_done += 1
-            if sink is not None:
-                sink.emit(
-                    "task",
-                    task=task.index,
-                    worker=worker_id,
-                    method=task.method,
-                    scenario=task.scenario,
-                    status="ok",
-                    seconds=seconds,
-                    attempt=task.attempt,
-                )
-                sink.flush()
-            result_queue.put(("ok", worker_id, task.index, result))
-    finally:
-        if sink is not None:
-            total = time.perf_counter() - started
-            sink.emit(
-                "worker_end",
-                worker=worker_id,
-                busy_seconds=busy_seconds,
-                idle_seconds=max(0.0, total - busy_seconds),
-                tasks_done=tasks_done,
-            )
-            sink.close()
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
 def _build_worlds(
     tasks: list[ExperimentTask], dataset: CrossDomainDataset | None
 ) -> dict[tuple, CrossDomainDataset]:
@@ -303,72 +150,20 @@ def _build_worlds(
     return worlds
 
 
-def _build_store(
-    dataset: CrossDomainDataset, train_fraction: float, trial_seed: int,
-    config: OmniMatchConfig | None,
-) -> DocumentStore:
-    cfg = _doc_config(config)
-    split = cold_start_split(dataset, train_fraction=train_fraction, seed=trial_seed)
-    return DocumentStore(
-        dataset, split, doc_len=cfg.doc_len, vocab_size=cfg.vocab_size, field=cfg.field
+def _position_plan(
+    kill_plan: "WorkerKillPlan | None", tasks: list[ExperimentTask]
+) -> "WorkerKillPlan | None":
+    """Re-key a plan from ``(ExperimentTask.index, attempt)`` to the pool's
+    submission indexes (the position of each task in ``tasks``)."""
+    if kill_plan is None:
+        return None
+    from ..faults import WorkerKillPlan
+
+    position = {task.index: i for i, task in enumerate(tasks)}
+    return WorkerKillPlan(
+        [(position[index], attempt) for index, attempt in kill_plan.kills
+         if index in position]
     )
-
-
-def _store_key(task: ExperimentTask, trial_seed: int) -> tuple:
-    cfg = _doc_config(task.config)
-    return (
-        task.world_key(), task.train_fraction, trial_seed,
-        cfg.doc_len, cfg.vocab_size, cfg.field,
-    )
-
-
-def _run_inline(
-    tasks: list[ExperimentTask],
-    worlds: dict[tuple, CrossDomainDataset],
-    telemetry_dir,
-    share_documents: bool,
-) -> "list[ExperimentResult]":
-    """Single-process execution with the same world/store amortization."""
-    from ..eval.protocol import run_experiment
-
-    sink = TelemetrySink(telemetry_dir) if telemetry_dir is not None else None
-    stores: dict[tuple, DocumentStore] = {}
-    results = []
-    try:
-        for task in tasks:
-            world = worlds[task.world_key()]
-
-            def store_provider(ds, split, trial_seed, _task=task, _world=world):
-                if not share_documents or _task.method not in _STORE_METHODS:
-                    return None
-                key = _store_key(_task, trial_seed)
-                if key not in stores:
-                    stores[key] = _build_store(
-                        _world, _task.train_fraction, trial_seed, _task.config
-                    )
-                return stores[key]
-
-            results.append(
-                run_experiment(
-                    task.method,
-                    task.dataset_name,
-                    task.source,
-                    task.target,
-                    trials=task.trials,
-                    train_fraction=task.train_fraction,
-                    seed=task.seed,
-                    config=task.config,
-                    dataset=world,
-                    telemetry=sink,
-                    trial_offset=task.trial_offset,
-                    emit_summary=task.emit_summary,
-                    store_provider=store_provider,
-                )
-            )
-    finally:
-        if sink is not None:
-            sink.close()
-    return results
 
 
 def run_tasks(
@@ -378,154 +173,84 @@ def run_tasks(
     telemetry_dir=None,
     dataset: CrossDomainDataset | None = None,
     max_task_retries: int = 2,
-    start_method: str | None = None,
-    share_documents: bool = True,
     kill_plan: "WorkerKillPlan | None" = None,
 ) -> "list[ExperimentResult]":
     """Execute ``tasks``; returns one result per task, in task order.
 
-    ``workers < 2`` runs inline (no processes, no shared memory) but with
-    the same world/store amortization, so the two modes differ only in
+    ``workers < 2`` runs inline (no processes, no shared memory) over the
+    same parent-built worlds and stores, so the two modes differ only in
     transport — never in numbers. ``dataset`` short-circuits world
     generation when the caller already owns the world (trial fan-out).
-    ``kill_plan`` is a test hook injecting deterministic worker deaths.
+    ``kill_plan`` is a test hook injecting deterministic worker deaths,
+    keyed on ``(ExperimentTask.index, attempt)``.
     """
     if len({task.index for task in tasks}) != len(tasks):
         raise ValueError("task indexes must be unique")
     worlds = _build_worlds(tasks, dataset)
-    if workers < 2:
-        return _run_inline(tasks, worlds, telemetry_dir, share_documents)
+    packs = []
 
-    packs: list[ShmPack] = []
-    dataset_refs: dict[tuple, SharedDatasetRef] = {}
-    store_refs: dict[tuple, SharedStoreRef] = {}
-    states: dict[int, _WorkerState] = {}
-    ctx = multiprocessing.get_context(start_method)
-    result_queue = ctx.Queue()
+    def share(obj, publish):
+        """The object itself inline; a published shared-memory ref otherwise.
 
-    from ..nn.tensor import fast_math_enabled, get_default_dtype
-
-    worker_args = (
-        telemetry_dir,
-        str(get_default_dtype()),
-        fast_math_enabled(),
-        kill_plan,
-    )
-
-    def spawn(worker_id: int, generation: int) -> _WorkerState:
-        task_queue = ctx.Queue()
-        process = ctx.Process(
-            target=_worker_main,
-            args=(worker_id, generation, task_queue, result_queue, *worker_args),
-            daemon=True,
-        )
-        process.start()
-        return _WorkerState(process=process, task_queue=task_queue, generation=generation)
-
-    def payload_for(task: ExperimentTask) -> _TaskPayload:
-        refs = tuple(
-            (trial_seed, store_refs[_store_key(task, trial_seed)])
-            for trial_seed in _trial_seeds(task)
-            if _store_key(task, trial_seed) in store_refs
-        )
-        return _TaskPayload(
-            task=task, dataset_ref=dataset_refs[task.world_key()], store_refs=refs
-        )
+        Worker mode keeps only the ref, so the parent drops each built store
+        before the workers fork and they do not inherit its pages."""
+        if workers < 2:
+            return obj
+        pack, ref = publish(obj)
+        packs.append(pack)
+        return ref
 
     try:
-        # Publish every world once; build + publish document matrices for
-        # the (world, split) pairs that store-consuming tasks will need.
-        for key, world in worlds.items():
-            pack, ref = publish_dataset(world)
-            packs.append(pack)
-            dataset_refs[key] = ref
-        if share_documents:
-            for task in tasks:
-                if task.method not in _STORE_METHODS:
-                    continue
-                for trial_seed in _trial_seeds(task):
-                    key = _store_key(task, trial_seed)
-                    if key in store_refs:
-                        continue
-                    store = _build_store(
-                        worlds[task.world_key()], task.train_fraction,
-                        trial_seed, task.config,
-                    )
-                    pack, ref = publish_document_matrices(store)
-                    packs.append(pack)
-                    store_refs[key] = ref
-
-        pending: deque[ExperimentTask] = deque(tasks)
-        results: dict[int, "ExperimentResult"] = {}
-        for worker_id in range(workers):
-            states[worker_id] = spawn(worker_id, generation=0)
-
-        def handle(message) -> None:
-            kind, worker_id, task_index, data = message
-            state = states.get(worker_id)
-            if state is not None and state.in_flight is not None \
-                    and state.in_flight.index == task_index:
-                state.in_flight = None
-            if kind == "ok":
-                results[task_index] = data
-            else:
-                raise ParallelExecutionError(
-                    f"task {task_index} raised in worker {worker_id} "
-                    f"(exceptions are deterministic; not retried):\n{data}"
-                )
-
-        while len(results) < len(tasks):
-            for state in states.values():
-                if state.in_flight is None and pending and state.process.is_alive():
-                    task = pending.popleft()
-                    state.in_flight = task
-                    state.task_queue.put(payload_for(task))
-            try:
-                handle(result_queue.get(timeout=0.2))
+        world_refs = {
+            key: share(world, publish_dataset) for key, world in worlds.items()
+        }
+        # One store per distinct (world, split, document shape); each task
+        # gets the stores of its trials, keyed by trial seed.
+        stores: dict[tuple, object] = {}
+        task_stores: list[dict[int, object]] = []
+        for task in tasks:
+            task_stores.append({})
+            if task.method not in _STORE_METHODS:
                 continue
-            except queue_module.Empty:
-                pass
-            for worker_id, state in list(states.items()):
-                if state.process.is_alive():
-                    continue
-                # The worker may have posted a result just before dying;
-                # drain before declaring its in-flight task lost.
-                while True:
-                    try:
-                        handle(result_queue.get_nowait())
-                    except queue_module.Empty:
-                        break
-                if state.in_flight is not None:
-                    task = state.in_flight
-                    if task.index not in results:
-                        retry = dataclasses.replace(task, attempt=task.attempt + 1)
-                        if retry.attempt > max_task_retries:
-                            raise ParallelExecutionError(
-                                f"task {task.index} ({task.method}, {task.scenario}) "
-                                f"lost {retry.attempt} workers; giving up after "
-                                f"{max_task_retries} retries"
-                            )
-                        pending.appendleft(retry)
-                    state.in_flight = None
-                if pending or len(results) < len(tasks):
-                    states[worker_id] = spawn(worker_id, state.generation + 1)
-                else:
-                    del states[worker_id]
+            config = task.config if task.config is not None else OmniMatchConfig()
+            world = worlds[task.world_key()]
+            first_seed = task.seed + task.trial_offset
+            for trial_seed in range(first_seed, first_seed + task.trials):
+                key = (
+                    task.world_key(), task.train_fraction, trial_seed,
+                    config.doc_len, config.vocab_size, config.field,
+                )
+                if key not in stores:
+                    split = cold_start_split(
+                        world, train_fraction=task.train_fraction, seed=trial_seed
+                    )
+                    stores[key] = share(
+                        DocumentStore(
+                            world, split, doc_len=config.doc_len,
+                            vocab_size=config.vocab_size, field=config.field,
+                        ),
+                        publish_document_matrices,
+                    )
+                task_stores[-1][trial_seed] = stores[key]
 
-        # Graceful shutdown so worker_end events land in the shards.
-        for state in states.values():
-            state.task_queue.put(None)
-        for state in states.values():
-            state.process.join(timeout=10)
+        with TaskPool(
+            workers, telemetry_dir=telemetry_dir,
+            max_task_retries=max_task_retries,
+            kill_plan=_position_plan(kill_plan, tasks),
+        ) as pool:
+            indexes = [
+                pool.submit(
+                    _run_cell, task, world_refs[task.world_key()], task_store,
+                    labels={"method": task.method, "scenario": task.scenario},
+                )
+                for task, task_store in zip(tasks, task_stores)
+            ]
+            outcomes = pool.drain()
         if telemetry_dir is not None:
             from ..obs import merge_shards
 
             merge_shards(telemetry_dir)
-        return [results[task.index] for task in tasks]
+        return [outcomes[index].value for index in indexes]
     finally:
-        for state in states.values():
-            if state.process.is_alive():
-                state.process.terminate()
-                state.process.join(timeout=2)
         for pack in packs:
             pack.unlink()

@@ -1,33 +1,36 @@
-"""Generic preemptible task pool over supervised worker processes.
+"""Preemptible task pool: the one task runner over supervised workers.
 
-:mod:`repro.parallel.engine` executes a *fixed batch* of experiment cells;
-the pool generalizes the same supervision machinery (private per-worker
-task queues, a shared result queue, liveness polling, death → requeue with
-a bounded attempt budget, per-worker telemetry shards) to **dynamically
-submitted, cancelable tasks** — what a scheduler that makes decisions
-between waves of work (the ASHA tuner) needs:
+Every multiprocess workload in the repo that executes *tasks* runs here:
+the experiment engine (:func:`repro.parallel.engine.run_tasks` submits a
+fixed batch of cells and drains) and the ASHA tuner (waves of rungs with
+cancels between them). Process lifecycle — spawn, liveness, respawn with a
+bumped generation, dropping a dead generation's queue, stop — is
+:class:`~repro.parallel.supervisor.WorkerSupervisor`'s; the pool adds what
+is specific to tasks:
 
 * ``submit(fn, *args, **kwargs)`` enqueues a call of a module-level
   function; the pool invokes it as ``fn(ctx, *args, **kwargs)`` where
   ``ctx`` is a :class:`TaskContext` carrying the task coordinates, the
   worker's telemetry sink, and a ``should_stop`` callable;
+* an in-flight map (which slot holds which task) so a worker death
+  requeues exactly the lost task with ``attempt + 1``, bounded by
+  ``max_task_retries``;
 * ``cancel(index)`` removes a still-pending task outright, or — when the
-  task is already running — flips a shared per-worker cancel cell that the
+  task is already running — flips the worker's cancel cell, which the
   task's ``should_stop`` hook observes, requesting a *cooperative* stop
   (the trainer's ``stop_check`` checkpoints and exits at the next epoch
   boundary). The cell stores the **task index**, so a stale cancel can
   never leak into the worker's next task: requeue-safe accounting;
-* a worker that dies mid-task is detected by liveness polling, its task
-  requeued with ``attempt + 1`` (bounded by ``max_task_retries``) and a
-  replacement spawned with a bumped generation — unless the task had a
-  cancel pending, in which case its death *is* the cancellation.
+* a worker that dies while its task has a cancel pending is not requeued:
+  its death *is* the cancellation.
 
 ``workers < 2`` runs every task inline in submission order — no processes,
-no shared memory, same outcomes — so callers get a zero-dependency mode
-for tests and tiny runs. Telemetry (when ``telemetry_dir`` is given) is
-sharded exactly like the engine's: each worker (and the inline loop)
-writes ``run-w<id>g<gen>.jsonl``; the caller merges shards when *it* is
-done writing its own (:func:`repro.obs.merge_shards`).
+no shared memory, same outcomes — through the same run-a-task helper as
+the workers, so both modes emit identical telemetry: when
+``telemetry_dir`` is given, each worker (and the inline loop) writes
+``run-w<id>g<gen>.jsonl`` with a ``worker_start``, one ``task`` event per
+task and a ``worker_end``; the caller merges shards when *it* is done
+writing its own (:func:`repro.obs.merge_shards`).
 
 Exceptions raised by a task are deterministic, so they are never retried:
 the outcome carries the traceback and :meth:`TaskPool.drain` raises
@@ -37,7 +40,6 @@ the outcome carries the traceback and :meth:`TaskPool.drain` raises
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import queue as queue_module
 import time
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..obs import TelemetrySink
+from .supervisor import WorkerSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import WorkerKillPlan
@@ -110,21 +113,84 @@ class _PoolPayload:
     fn: Callable
     args: tuple
     kwargs: tuple[tuple[str, Any], ...]
+    labels: tuple[tuple[str, Any], ...] = ()
     attempt: int = 0
 
 
-@dataclass
-class _PoolWorker:
-    process: multiprocessing.Process
-    task_queue: "multiprocessing.Queue"
-    cancel_cell: Any  # multiprocessing.Value('q')
-    generation: int
-    in_flight: _PoolPayload | None = None
+class _Runner:
+    """Runs tasks for one worker generation (or the inline loop).
+
+    Owns the generation's telemetry shard: ``worker_start`` on creation,
+    one ``task`` event per :meth:`run`, ``worker_end`` on :meth:`close`.
+    """
+
+    def __init__(
+        self, worker: int, generation: int, telemetry_dir,
+        should_stop: Callable[[int], bool],
+    ) -> None:
+        self.worker = worker
+        self.generation = generation
+        self.should_stop = should_stop
+        self.sink = None
+        if telemetry_dir is not None:
+            self.sink = TelemetrySink(
+                telemetry_dir,
+                filename=f"run-w{worker}g{generation}.jsonl",
+                run_id=f"w{worker}g{generation}",
+            )
+            self.sink.emit(
+                "worker_start", worker=worker, generation=generation, pid=os.getpid()
+            )
+            self.sink.flush()
+        self.started = time.perf_counter()
+        self.busy_seconds = 0.0
+        self.tasks_done = 0
+
+    def run(self, payload: _PoolPayload) -> TaskOutcome:
+        ctx = TaskContext(
+            index=payload.index,
+            attempt=payload.attempt,
+            worker=self.worker,
+            generation=self.generation,
+            should_stop=lambda: self.should_stop(payload.index),
+            sink=self.sink,
+        )
+        outcome = TaskOutcome(
+            index=payload.index, status="ok", worker=self.worker,
+            generation=self.generation, attempt=payload.attempt,
+        )
+        task_start = time.perf_counter()
+        try:
+            outcome.value = payload.fn(ctx, *payload.args, **dict(payload.kwargs))
+        except Exception:
+            outcome.status = "error"
+            outcome.error = traceback.format_exc()
+        outcome.seconds = time.perf_counter() - task_start
+        if outcome.status == "ok":
+            self.busy_seconds += outcome.seconds
+            self.tasks_done += 1
+        if self.sink is not None:
+            self.sink.emit(
+                "task", task=payload.index, worker=self.worker,
+                status=outcome.status, seconds=outcome.seconds,
+                attempt=payload.attempt, **dict(payload.labels),
+            )
+            self.sink.flush()
+        return outcome
+
+    def close(self) -> None:
+        if self.sink is not None:
+            total = time.perf_counter() - self.started
+            self.sink.emit(
+                "worker_end",
+                worker=self.worker,
+                busy_seconds=self.busy_seconds,
+                idle_seconds=max(0.0, total - self.busy_seconds),
+                tasks_done=self.tasks_done,
+            )
+            self.sink.close()
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
 def _pool_worker_main(
     worker_id: int,
     generation: int,
@@ -139,23 +205,15 @@ def _pool_worker_main(
     """Worker loop: pull payloads until the ``None`` sentinel arrives."""
     from ..nn.tensor import set_default_dtype, set_fast_math
 
-    # Mirror the parent's numeric configuration (see engine._worker_main).
+    # Mirror the parent's numeric configuration: a parent that toggled
+    # flags after import would otherwise silently diverge from a serial run.
     set_default_dtype(default_dtype)
     set_fast_math(fast_math)
 
-    sink = None
-    if telemetry_dir is not None:
-        sink = TelemetrySink(
-            telemetry_dir,
-            filename=f"run-w{worker_id}g{generation}.jsonl",
-            run_id=f"w{worker_id}g{generation}",
-        )
-        sink.emit("worker_start", worker=worker_id, generation=generation, pid=os.getpid())
-        sink.flush()
-
-    started = time.perf_counter()
-    busy_seconds = 0.0
-    tasks_done = 0
+    runner = _Runner(
+        worker_id, generation, telemetry_dir,
+        lambda index: cancel_cell.value == index,
+    )
     try:
         while True:
             payload = task_queue.get()
@@ -170,70 +228,23 @@ def _pool_worker_main(
                 result_queue.close()
                 result_queue.join_thread()
                 os._exit(kill_plan.EXIT_CODE)
-
-            def should_stop(index=payload.index) -> bool:
-                return cancel_cell.value == index
-
-            ctx = TaskContext(
-                index=payload.index,
-                attempt=payload.attempt,
-                worker=worker_id,
-                generation=generation,
-                should_stop=should_stop,
-                sink=sink,
-            )
-            task_start = time.perf_counter()
-            try:
-                value = payload.fn(ctx, *payload.args, **dict(payload.kwargs))
-            except Exception:
-                seconds = time.perf_counter() - task_start
-                if sink is not None:
-                    sink.emit(
-                        "pool_task", task=payload.index, worker=worker_id,
-                        status="error", seconds=seconds, attempt=payload.attempt,
-                    )
-                    sink.flush()
-                result_queue.put(
-                    ("err", worker_id, payload.index, traceback.format_exc())
-                )
-            else:
-                seconds = time.perf_counter() - task_start
-                busy_seconds += seconds
-                tasks_done += 1
-                if sink is not None:
-                    sink.emit(
-                        "pool_task", task=payload.index, worker=worker_id,
-                        status="ok", seconds=seconds, attempt=payload.attempt,
-                    )
-                    sink.flush()
-                result_queue.put(("ok", worker_id, payload.index, (value, seconds)))
-            finally:
-                # Clear only our own cancellation: the parent may already
-                # have signalled a *different* index for the next task.
-                with cancel_cell.get_lock():
-                    if cancel_cell.value == payload.index:
-                        cancel_cell.value = _NO_CANCEL
+            outcome = runner.run(payload)
+            # Clear only our own cancellation: the parent may already
+            # have signalled a *different* index for the next task.
+            with cancel_cell.get_lock():
+                if cancel_cell.value == payload.index:
+                    cancel_cell.value = _NO_CANCEL
+            result_queue.put((worker_id, outcome))
     finally:
-        if sink is not None:
-            total = time.perf_counter() - started
-            sink.emit(
-                "worker_end",
-                worker=worker_id,
-                busy_seconds=busy_seconds,
-                idle_seconds=max(0.0, total - busy_seconds),
-                tasks_done=tasks_done,
-            )
-            sink.close()
+        runner.close()
 
 
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
 class TaskPool:
     """Dynamically-fed, cancelable worker pool (see module docstring).
 
-    Use as a context manager; workers are spawned lazily on the first
-    :meth:`drain` (so a pool that only ever runs inline never forks).
+    Use as a context manager; workers are spawned on the first
+    :meth:`drain` (so a pool that only ever runs inline never forks, and
+    workers fork after the caller has published its shared data).
     """
 
     def __init__(
@@ -242,26 +253,23 @@ class TaskPool:
         *,
         telemetry_dir=None,
         max_task_retries: int = 2,
-        start_method: str | None = None,
         kill_plan: "WorkerKillPlan | None" = None,
     ) -> None:
         self.workers = workers
         self.telemetry_dir = telemetry_dir
         self.max_task_retries = max_task_retries
         self.kill_plan = kill_plan
-        self._ctx = (
-            multiprocessing.get_context(start_method) if workers >= 2 else None
-        )
-        self._result_queue = self._ctx.Queue() if self._ctx is not None else None
-        self._states: dict[int, _PoolWorker] = {}
+        self._supervisor: WorkerSupervisor | None = None
+        self._result_queue = None
+        self._cancel_cells: dict[int, Any] = {}
+        # Fixed length, so cancel() may scan it from another thread.
+        self._in_flight: list[_PoolPayload | None] = [None] * workers
+        self._inline: _Runner | None = None
         self._pending: deque[_PoolPayload] = deque()
         self._outcomes: dict[int, TaskOutcome] = {}
         self._cancel_requested: set[int] = set()
         self._next_index = 0
-        self._submitted: set[int] = set()
-        self._started = False
         self._closed = False
-        self._inline_sink: TelemetrySink | None = None
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "TaskPool":
@@ -275,33 +283,31 @@ class TaskPool:
         if self._closed:
             return
         self._closed = True
-        for state in self._states.values():
-            if state.process.is_alive():
-                state.task_queue.put(None)
-        for state in self._states.values():
-            state.process.join(timeout=10)
-        for state in self._states.values():
-            if state.process.is_alive():
-                state.process.terminate()
-                state.process.join(timeout=2)
-        self._states.clear()
-        if self._inline_sink is not None:
-            self._inline_sink.close()
-            self._inline_sink = None
+        if self._supervisor is not None:
+            self._supervisor.stop()
+        if self._inline is not None:
+            self._inline.close()
 
     # -- submission / cancellation ------------------------------------
-    def submit(self, fn: Callable, *args, **kwargs) -> int:
-        """Enqueue ``fn(ctx, *args, **kwargs)``; returns the task index."""
+    def submit(
+        self, fn: Callable, /, *args, labels: dict | None = None, **kwargs
+    ) -> int:
+        """Enqueue ``fn(ctx, *args, **kwargs)``; returns the task index.
+
+        Indexes count up from 0 in submission order. ``labels`` (a
+        reserved keyword, not passed to ``fn``) are copied into the task's
+        ``task`` telemetry event and its retry-exhaustion message.
+        """
         if self._closed:
             raise TaskPoolError("pool is closed")
         index = self._next_index
         self._next_index += 1
         self._pending.append(
             _PoolPayload(
-                index=index, fn=fn, args=args, kwargs=tuple(kwargs.items())
+                index=index, fn=fn, args=args, kwargs=tuple(kwargs.items()),
+                labels=tuple((labels or {}).items()),
             )
         )
-        self._submitted.add(index)
         return index
 
     def cancel(self, index: int) -> str:
@@ -312,7 +318,7 @@ class TaskPool:
         ``"signalled"`` (running; its ``should_stop`` now returns True),
         or ``"unknown"`` (never submitted).
         """
-        if index not in self._submitted:
+        if not 0 <= index < self._next_index:
             return "unknown"
         if index in self._outcomes:
             return "done"
@@ -325,10 +331,11 @@ class TaskPool:
                 )
                 return "cancelled"
         self._cancel_requested.add(index)
-        for state in self._states.values():
-            if state.in_flight is not None and state.in_flight.index == index:
-                with state.cancel_cell.get_lock():
-                    state.cancel_cell.value = index
+        for slot, payload in enumerate(self._in_flight):
+            if payload is not None and payload.index == index:
+                cell = self._cancel_cells[slot]
+                with cell.get_lock():
+                    cell.value = index
                 return "signalled"
         # Submitted, not finished, not pending, not in flight: the task is
         # between a worker death and its requeue — the requeue handler will
@@ -360,168 +367,87 @@ class TaskPool:
         """The recorded outcome of ``index`` (after :meth:`drain`)."""
         return self._outcomes[index]
 
-    # -- inline mode ----------------------------------------------------
-    def _inline_telemetry(self) -> "TelemetrySink | None":
-        if self.telemetry_dir is None:
-            return None
-        if self._inline_sink is None:
-            self._inline_sink = TelemetrySink(
-                self.telemetry_dir, filename="run-w0g0.jsonl", run_id="w0g0"
-            )
-            self._inline_sink.emit(
-                "worker_start", worker=0, generation=0, pid=os.getpid()
-            )
-            self._inline_sink.flush()
-        return self._inline_sink
-
     def _drain_inline(self) -> None:
-        sink = self._inline_telemetry()
+        if self._inline is None:
+            self._inline = _Runner(0, 0, self.telemetry_dir, lambda index: False)
         while self._pending:
             payload = self._pending.popleft()
-            ctx = TaskContext(
-                index=payload.index, attempt=payload.attempt, worker=0,
-                generation=0, should_stop=lambda: False, sink=sink,
-            )
-            task_start = time.perf_counter()
-            try:
-                value = payload.fn(ctx, *payload.args, **dict(payload.kwargs))
-            except Exception:
-                seconds = time.perf_counter() - task_start
-                if sink is not None:
-                    sink.emit(
-                        "pool_task", task=payload.index, worker=0,
-                        status="error", seconds=seconds, attempt=payload.attempt,
-                    )
-                    sink.flush()
-                self._outcomes[payload.index] = TaskOutcome(
-                    index=payload.index, status="error",
-                    error=traceback.format_exc(), worker=0, generation=0,
-                    attempt=payload.attempt, seconds=seconds,
-                )
-            else:
-                seconds = time.perf_counter() - task_start
-                if sink is not None:
-                    sink.emit(
-                        "pool_task", task=payload.index, worker=0,
-                        status="ok", seconds=seconds, attempt=payload.attempt,
-                    )
-                    sink.flush()
-                self._outcomes[payload.index] = TaskOutcome(
-                    index=payload.index, status="ok", value=value, worker=0,
-                    generation=0, attempt=payload.attempt, seconds=seconds,
-                )
+            self._outcomes[payload.index] = self._inline.run(payload)
 
     # -- worker mode ----------------------------------------------------
-    def _spawn(self, worker_id: int, generation: int) -> _PoolWorker:
+    def _worker_args(self, slot: int, generation: int, task_queue) -> tuple:
+        """Each generation gets a fresh cancel cell (and queue, from the
+        supervisor) and the parent's numeric configuration as of its spawn."""
         from ..nn.tensor import fast_math_enabled, get_default_dtype
 
-        task_queue = self._ctx.Queue()
-        cancel_cell = self._ctx.Value("q", _NO_CANCEL)
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(
-                worker_id, generation, task_queue, self._result_queue,
-                cancel_cell, self.telemetry_dir, str(get_default_dtype()),
-                fast_math_enabled(), self.kill_plan,
-            ),
-            daemon=True,
+        cell = self._cancel_cells[slot] = self._supervisor.ctx.Value("q", _NO_CANCEL)
+        return (
+            slot, generation, task_queue, self._result_queue, cell,
+            self.telemetry_dir, str(get_default_dtype()), fast_math_enabled(),
+            self.kill_plan,
         )
-        process.start()
-        return _PoolWorker(
-            process=process, task_queue=task_queue, cancel_cell=cancel_cell,
-            generation=generation,
-        )
-
-    def _ensure_started(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for worker_id in range(self.workers):
-            self._states[worker_id] = self._spawn(worker_id, generation=0)
 
     def _handle(self, message) -> None:
-        kind, worker_id, task_index, data = message
-        state = self._states.get(worker_id)
-        if (
-            state is not None
-            and state.in_flight is not None
-            and state.in_flight.index == task_index
-        ):
-            attempt = state.in_flight.attempt
-            generation = state.generation
-            state.in_flight = None
-        else:  # late result from a worker we already replaced
-            attempt = 0
-            generation = None
-        if task_index in self._outcomes:
+        slot, outcome = message
+        in_flight = self._in_flight[slot]
+        if in_flight is not None and in_flight.index == outcome.index:
+            self._in_flight[slot] = None
+        if outcome.index in self._outcomes:
             return  # e.g. cancelled while a death-requeue was in flight
-        if kind == "ok":
-            value, seconds = data
-            self._outcomes[task_index] = TaskOutcome(
-                index=task_index, status="ok", value=value, worker=worker_id,
-                generation=generation, attempt=attempt, seconds=seconds,
-                cancel_requested=task_index in self._cancel_requested,
-            )
-        else:
-            self._outcomes[task_index] = TaskOutcome(
-                index=task_index, status="error", error=data, worker=worker_id,
-                generation=generation, attempt=attempt,
-                cancel_requested=task_index in self._cancel_requested,
-            )
+        outcome.cancel_requested = outcome.index in self._cancel_requested
+        self._outcomes[outcome.index] = outcome
+
+    def _reap(self) -> None:
+        """Respawn dead workers; requeue the tasks they held, or record them
+        cancelled when a cancel was pending."""
+        deaths = self._supervisor.check()
+        if not deaths:
+            return
+        # A worker may have posted a result just before dying.
+        while True:
+            try:
+                self._handle(self._result_queue.get_nowait())
+            except queue_module.Empty:
+                break
+        for death in deaths:
+            payload = self._in_flight[death.slot]
+            self._in_flight[death.slot] = None
+            if payload is None or payload.index in self._outcomes:
+                continue
+            if payload.index in self._cancel_requested:
+                # The death *is* the cancellation: the caller asked for
+                # this task to stop, so don't requeue.
+                self._outcomes[payload.index] = TaskOutcome(
+                    index=payload.index, status="cancelled",
+                    worker=death.slot, generation=death.generation,
+                    attempt=payload.attempt, cancel_requested=True,
+                )
+                continue
+            retry = dataclasses.replace(payload, attempt=payload.attempt + 1)
+            if retry.attempt > self.max_task_retries:
+                labels = ", ".join(str(value) for _, value in payload.labels)
+                raise TaskPoolError(
+                    f"task {payload.index}{f' ({labels})' if labels else ''} "
+                    f"lost {retry.attempt} workers; giving up after "
+                    f"{self.max_task_retries} retries"
+                )
+            self._pending.appendleft(retry)
 
     def _drain_workers(self) -> None:
-        self._ensure_started()
-        outstanding = lambda: len(self._submitted) - len(self._outcomes)
-        while outstanding():
-            for state in self._states.values():
-                if (
-                    state.in_flight is None
-                    and self._pending
-                    and state.process.is_alive()
-                ):
-                    payload = self._pending.popleft()
-                    state.in_flight = payload
-                    state.task_queue.put(payload)
+        if self._supervisor is None:
+            self._supervisor = WorkerSupervisor(
+                _pool_worker_main, self._worker_args, self.workers
+            )
+            self._result_queue = self._supervisor.ctx.Queue()
+            self._supervisor.start()
+        while len(self._outcomes) < self._next_index:
+            for slot, in_flight in enumerate(self._in_flight):
+                if in_flight is None and self._pending:
+                    payload = self._in_flight[slot] = self._pending.popleft()
+                    self._supervisor.send(slot, payload)
             try:
                 self._handle(self._result_queue.get(timeout=0.2))
                 continue
             except queue_module.Empty:
                 pass
-            for worker_id, state in list(self._states.items()):
-                if state.process.is_alive():
-                    continue
-                # The worker may have posted a result just before dying.
-                while True:
-                    try:
-                        self._handle(self._result_queue.get_nowait())
-                    except queue_module.Empty:
-                        break
-                if state.in_flight is not None:
-                    payload = state.in_flight
-                    state.in_flight = None
-                    if payload.index not in self._outcomes:
-                        if payload.index in self._cancel_requested:
-                            # The death *is* the cancellation: the caller
-                            # asked for this task to stop, so don't requeue.
-                            self._outcomes[payload.index] = TaskOutcome(
-                                index=payload.index, status="cancelled",
-                                worker=worker_id, attempt=payload.attempt,
-                                cancel_requested=True,
-                            )
-                        else:
-                            retry = dataclasses.replace(
-                                payload, attempt=payload.attempt + 1
-                            )
-                            if retry.attempt > self.max_task_retries:
-                                raise TaskPoolError(
-                                    f"task {payload.index} lost {retry.attempt} "
-                                    f"workers; giving up after "
-                                    f"{self.max_task_retries} retries"
-                                )
-                            self._pending.appendleft(retry)
-                if self._pending or outstanding():
-                    self._states[worker_id] = self._spawn(
-                        worker_id, state.generation + 1
-                    )
-                else:
-                    del self._states[worker_id]
+            self._reap()

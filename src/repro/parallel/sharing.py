@@ -16,12 +16,18 @@ the parallel engine rests on this.
 workers can construct a :meth:`DocumentStore.from_matrices
 <repro.data.batching.DocumentStore.from_matrices>` store without
 re-tokenizing or re-encoding the corpus.
+
+Task functions take either a published ref or the in-process object
+(inline runs skip shared memory): :func:`resolve_dataset` and
+:func:`resolved_store` turn either form into the object a trainer uses.
 """
 
 from __future__ import annotations
 
 import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,9 +44,14 @@ __all__ = [
     "attach_dataset",
     "publish_document_matrices",
     "attach_document_store",
+    "resolve_dataset",
+    "resolved_store",
 ]
 
-_DOMAIN_COLUMNS = ("users", "items", "ratings", "summaries", "texts")
+#: Attached datasets a worker keeps alive, keyed by segment name. Tasks
+#: usually arrive grouped by world, so two cover the switch between worlds.
+_DATASET_CACHE: dict[str, CrossDomainDataset] = {}
+_DATASET_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -198,3 +209,37 @@ def attach_document_store(
     )
     store.attached_pack = pack
     return store
+
+
+# ----------------------------------------------------------------------
+# Ref-or-object resolution (task side)
+# ----------------------------------------------------------------------
+def resolve_dataset(
+    dataset: "SharedDatasetRef | CrossDomainDataset",
+) -> CrossDomainDataset:
+    """The dataset behind ``dataset``: attached (and cached) if it is a ref."""
+    if not isinstance(dataset, SharedDatasetRef):
+        return dataset
+    cached = _DATASET_CACHE.get(dataset.shm.name)
+    if cached is None:
+        if len(_DATASET_CACHE) >= _DATASET_CACHE_SIZE:
+            _DATASET_CACHE.clear()
+        cached = _DATASET_CACHE[dataset.shm.name] = attach_dataset(dataset)
+    return cached
+
+
+@contextmanager
+def resolved_store(
+    store: "SharedStoreRef | DocumentStore | None",
+    dataset: CrossDomainDataset,
+    split: ColdStartSplit,
+) -> Iterator["DocumentStore | None"]:
+    """Yield the store behind ``store``; an attached mapping is closed on exit."""
+    if not isinstance(store, SharedStoreRef):
+        yield store
+        return
+    attached = attach_document_store(store, dataset, split)
+    try:
+        yield attached
+    finally:
+        attached.attached_pack.close()

@@ -1,15 +1,11 @@
-"""Generic supervision of long-lived worker processes.
+"""Supervision of a fixed fleet of worker processes: the one place a
+worker process is created.
 
-PR 4's parallel engine supervises workers around a *finite task batch*:
-spawn, drain the queue, detect deaths, requeue, exit. A serving daemon
-needs the same guarantees around an *unbounded request loop* — workers
-live until told to stop, deaths must be detected and healed while traffic
-keeps flowing, and a wedged worker must be killable without taking the
-fleet down. :class:`WorkerSupervisor` factors that lifecycle out of the
-engine's one-shot loop so any long-lived pool (the recommendation daemon,
-a future tuner) can reuse it.
-
-Design points, inherited from the engine's hard-won lessons:
+Both multiprocess subsystems sit on :class:`WorkerSupervisor`: the task
+pool (:mod:`repro.parallel.pool`, and through it the experiment engine
+and the tuner) and the recommendation daemon's serving fleet. The
+supervisor owns process lifecycle only; what travels over the queues, and
+what a death means for work in flight, stays with the caller.
 
 * **One slot, many generations.** A fleet has a fixed number of worker
   *slots*; each death respawns the same slot with ``generation + 1``, so
@@ -17,14 +13,17 @@ Design points, inherited from the engine's hard-won lessons:
   and telemetry shards never collide.
 * **Fresh task queue per generation.** A worker killed mid-``get`` can
   die holding the queue's reader lock; reusing that queue would wedge the
-  respawned worker. Every respawn gets a brand-new queue, and the caller
-  re-enqueues whatever the dead worker had not completed (the supervisor
-  cannot know message semantics, so in-flight tracking stays with the
-  caller).
+  respawned worker. Every respawn gets a brand-new queue, the dead one is
+  closed without joining its feeder thread, and the caller re-enqueues
+  whatever the dead worker had not completed (the supervisor cannot know
+  message semantics, so in-flight tracking stays with the caller).
 * **The caller polls.** :meth:`check` is cheap (one ``is_alive`` per
   slot) and returns the deaths it healed; call it from a housekeeping
   tick. No background thread is hidden inside the supervisor, so there is
   exactly one place in the host process that reacts to deaths.
+* **Fork, daemonic.** Workers are forked, so they inherit what the parent
+  built and published before :meth:`start`, and daemonic, so a parent
+  that exits normally terminates them.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ class WorkerSupervisor:
     builds its argument tuple, so the caller decides what each generation
     receives (queues, shared-memory refs, chaos plans keyed by generation).
     Workers must treat a ``None`` message on their task queue as the stop
-    sentinel.
+    sentinel. ``ctx`` is the fork context the fleet runs on; callers build
+    the queues they share with workers from it.
     """
 
     def __init__(
@@ -67,17 +67,13 @@ class WorkerSupervisor:
         target: Callable,
         args_fn: Callable[[int, int, "multiprocessing.Queue"], Sequence],
         workers: int,
-        *,
-        context: str | None = "fork",
-        daemon: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.target = target
         self.args_fn = args_fn
         self.workers = workers
-        self.ctx = multiprocessing.get_context(context)
-        self.daemon = daemon
+        self.ctx = multiprocessing.get_context("fork")
         self._slots: dict[int, _Slot] = {}
         self._started = False
         self._stopped = False
@@ -88,7 +84,7 @@ class WorkerSupervisor:
         process = self.ctx.Process(
             target=self.target,
             args=tuple(self.args_fn(slot, generation, task_queue)),
-            daemon=self.daemon,
+            daemon=True,
         )
         process.start()
         return _Slot(process=process, task_queue=task_queue, generation=generation)

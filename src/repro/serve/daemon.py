@@ -499,6 +499,12 @@ class RecommendDaemon:
             self._stopping = True
             self._cv.notify_all()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutting the socket down first does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

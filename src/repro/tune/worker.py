@@ -30,15 +30,11 @@ from ..parallel.pool import TaskContext
 from ..parallel.sharing import (
     SharedDatasetRef,
     SharedStoreRef,
-    attach_dataset,
-    attach_document_store,
+    resolve_dataset,
+    resolved_store,
 )
 
 __all__ = ["TrialTaggedSink", "run_rung"]
-
-#: Per-process cache of attached shared-memory datasets (keyed by segment
-#: name); a worker runs many rungs against the same world.
-_DATASET_CACHE: dict[str, CrossDomainDataset] = {}
 
 
 class TrialTaggedSink:
@@ -67,18 +63,6 @@ class TrialTaggedSink:
         self._sink.flush()
 
 
-def _resolve_dataset(ref: "SharedDatasetRef | CrossDomainDataset") -> CrossDomainDataset:
-    if isinstance(ref, SharedDatasetRef):
-        cached = _DATASET_CACHE.get(ref.shm.name)
-        if cached is None:
-            if len(_DATASET_CACHE) >= 2:
-                _DATASET_CACHE.clear()
-            cached = attach_dataset(ref)
-            _DATASET_CACHE[ref.shm.name] = cached
-        return cached
-    return ref
-
-
 def run_rung(
     ctx: TaskContext,
     *,
@@ -98,19 +82,11 @@ def run_rung(
     — metadata for bookkeeping. The authoritative RMSE travels through the
     telemetry shard (``tune_trial`` event).
     """
-    dataset = _resolve_dataset(dataset_ref)
-    store = None
-    attached_pack = None
-    if isinstance(store_ref, SharedStoreRef):
-        store = attach_document_store(store_ref, dataset, split)
-        attached_pack = store.attached_pack
-    elif store_ref is not None:
-        store = store_ref
-
+    dataset = resolve_dataset(dataset_ref)
     tagged = (
         TrialTaggedSink(ctx.sink, trial_id, rung) if ctx.sink is not None else None
     )
-    try:
+    with resolved_store(store_ref, dataset, split) as store:
         trainer = OmniMatchTrainer(
             dataset, split, config, telemetry=tagged, store=store
         )
@@ -123,9 +99,6 @@ def run_rung(
             keep_last=1,
             stop_check=ctx.should_stop,
         )
-    finally:
-        if attached_pack is not None:
-            attached_pack.close()
 
     history = result.history
     # The health log accumulates across rungs; the *last* resume event is

@@ -6,6 +6,7 @@ from repro.core import OmniMatchConfig
 from repro.eval import METHODS, run_experiment
 from repro.eval.protocol import run_table
 from repro.faults import WorkerKillPlan
+from repro.obs import read_events, validate_run_file
 from repro.parallel import (
     ExperimentTask,
     ParallelExecutionError,
@@ -93,6 +94,26 @@ class TestSupervision:
         shards = sorted(p.name for p in tmp_path.glob("run-*.jsonl"))
         assert any("g1" in name for name in shards)
 
+    def test_kill_plan_keys_on_task_index(self, tmp_path):
+        # Task indexes are arbitrary unique ints, not submission positions.
+        tasks = [
+            small_task(10),
+            small_task(20, method="global-mean"),
+            small_task(30, method="CMF"),
+        ]
+        clean = run_tasks(tasks, workers=2)
+        chaotic = run_tasks(
+            tasks, workers=2, telemetry_dir=tmp_path,
+            kill_plan=WorkerKillPlan([(20, 0)]),
+        )
+        assert [(r.rmse, r.mae) for r in chaotic] == [
+            (r.rmse, r.mae) for r in clean
+        ]
+        events = read_events(tmp_path / "run.jsonl")
+        assert sorted(
+            (e["method"], e["attempt"]) for e in events if e["kind"] == "task"
+        ) == [("CMF", 0), ("global-mean", 1), ("item-mean", 0)]
+
     def test_retries_exhausted_raises(self):
         plan = WorkerKillPlan([(0, 0), (0, 1)])
         with pytest.raises(ParallelExecutionError, match="giving up"):
@@ -105,6 +126,27 @@ class TestSupervision:
     def test_duplicate_task_indexes_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             run_tasks([small_task(0), small_task(0)], workers=0)
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_table_emits_one_task_event_per_cell(self, tmp_path, workers):
+        methods = ["item-mean", "global-mean"]
+        scenarios = [("books", "movies"), ("movies", "books")]
+        run_table(
+            methods, "amazon", scenarios=scenarios, trials=1, seed=0,
+            workers=workers, telemetry_dir=tmp_path, **SMALL,
+        )
+        stats = validate_run_file(tmp_path / "run.jsonl")
+        tasks = [
+            e for e in read_events(tmp_path / "run.jsonl") if e["kind"] == "task"
+        ]
+        assert sorted((e["method"], e["scenario"]) for e in tasks) == sorted(
+            (method, f"{source} -> {target}")
+            for source, target in scenarios for method in methods
+        )
+        assert all(e["status"] == "ok" for e in tasks)
+        assert stats["kinds"]["worker_end"] == max(workers, 1)
 
 
 class TestCleanup:

@@ -5,6 +5,8 @@ single-process :class:`InferenceEngine` computes — sharding, batching and
 degradation may change *latency* and *availability*, never *content*.
 """
 
+import time
+
 import pytest
 
 from repro.serve import (
@@ -69,6 +71,15 @@ class TestLifecycle:
         first = daemon.stop()
         assert first["workers_alive"] == 0
         assert daemon.stop()["workers_alive"] == 0  # second stop is a no-op
+
+    def test_stop_returns_promptly(self, trained):
+        # The accept thread must wake when the listener closes, not wait out
+        # stop()'s thread-join timeout.
+        daemon = RecommendDaemon(trained, DaemonConfig(workers=1)).start()
+        assert daemon.wait_ready(timeout=60)
+        started = time.monotonic()
+        daemon.stop()
+        assert time.monotonic() - started < 1.0
 
     def test_context_manager_serves_and_stops(self, trained, users, reference):
         with RecommendDaemon(trained, DaemonConfig(workers=1)) as daemon:

@@ -136,7 +136,7 @@ class TestInlineMode:
             pool.drain()
         merge_shards(telemetry)
         stats = validate_run_file(telemetry / "run.jsonl")
-        assert stats["kinds"]["pool_task"] == 1
+        assert stats["kinds"]["task"] == 1
 
 
 class TestWorkerMode:
@@ -158,7 +158,7 @@ class TestWorkerMode:
             pool.drain()
         merge_shards(telemetry)
         stats = validate_run_file(telemetry / "run.jsonl")
-        assert stats["kinds"]["pool_task"] == 4
+        assert stats["kinds"]["task"] == 4
         assert stats["kinds"]["worker_start"] == 2
         assert stats["kinds"]["worker_end"] == 2
 
