@@ -14,6 +14,14 @@ user-cache fills, and the naive re-encoding reference path — through
 With the GEMM ``m`` fixed, an entity's representation is a pure function of
 its own document: encode-once caching, cache eviction + re-encode, and
 full re-encoding all agree bit for bit.
+
+Two fixed row counts are in use. Items (and rating-head chunks) go in
+blocks of the engine's ``batch_size`` (:data:`DEFAULT_BLOCK`), because the
+catalog is encoded in bulk. Users always go in blocks of
+:data:`USER_BLOCK`, whatever the batch size: a user-cache miss is usually
+one cold user, and a 256-row block would be 255 rows of padding. 32 is the
+smallest block whose rows are bit-identical to a 256-row block on the
+reference box (blocks of 1–16 differ), so it serves the same scores.
 """
 
 from __future__ import annotations
@@ -25,10 +33,13 @@ import numpy as np
 
 from .. import nn
 
-__all__ = ["DEFAULT_BLOCK", "encode_blocked", "inference_mode"]
+__all__ = ["DEFAULT_BLOCK", "USER_BLOCK", "encode_blocked", "inference_mode"]
 
-#: Default rows per encode block (also the engine's default batch size).
+#: Default rows per item encode block (also the engine's default batch size).
 DEFAULT_BLOCK = 256
+
+#: Rows per user-tower encode block, on every path that encodes a user.
+USER_BLOCK = 32
 
 
 @contextmanager

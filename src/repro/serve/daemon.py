@@ -7,13 +7,16 @@ without giving up its bit-identity contract:
 * The parent encodes the catalog **once**, publishes the ``(n, d)`` item
   matrix through a :class:`~repro.parallel.shm.ShmPack`, and forks a
   fixed fleet of workers (:class:`~repro.parallel.WorkerSupervisor`) that
-  adopt zero-copy views of it. Each worker owns one contiguous slot shard
-  and scores it through the exact blocked rating head, so the parent-side
-  merge (:mod:`~repro.serve.shard_merge`) reproduces single-process
-  ``recommend`` output bit for bit.
+  adopt zero-copy views of it. An exact recommend fans out: each worker
+  scores the contiguous slot shard the daemon puts in its job through the
+  exact blocked rating head, so the parent-side merge
+  (:mod:`~repro.serve.shard_merge`) reproduces single-process
+  ``recommend`` output bit for bit. An IVF recommend scans only a
+  shortlist, so it goes to one worker with the whole slot range, like a
+  ``score`` or ``warm`` op; the three share one round-robin counter.
 * Requests arrive over a JSON-lines socket (:mod:`~repro.serve.protocol`),
-  are micro-batched under a max-delay budget, fanned to the shards, and
-  merged as shard results stream back — no barrier across requests.
+  are micro-batched under a max-delay budget, sent to their workers, and
+  merged as results stream back — no barrier across requests.
 
 Robustness envelope (each failure mode is detected, mitigated, and keeps
 a stated guarantee — see DESIGN.md §14 for the full table):
@@ -33,8 +36,9 @@ a stated guarantee — see DESIGN.md §14 for the full table):
   while the compute path is saturated.
 * **Sustained overload**: a degradation ladder with hysteresis — level 0
   serves as configured, level 1 forces IVF retrieval (approximate-but-
-  exact-scored shortlists), level 2 additionally sheds requests for
-  users no worker has encoded yet (cached-user-only).
+  exact-scored shortlists on one worker instead of every shard), level 2
+  additionally sheds requests for users no worker has encoded yet
+  (cached-user-only).
 * **Deadlines**: a request may carry ``deadline_ms``; expired requests
   are answered ``timeout`` whether still queued or in flight, and any
   late shard results are discarded, never half-merged.
@@ -125,7 +129,7 @@ class DaemonConfig:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _execute_job(engine: InferenceEngine, job: dict, lo: int, hi: int):
+def _execute_job(engine: InferenceEngine, job: dict):
     op = job["op"]
     # The document store deliberately tolerates unknown ids (all-padding
     # docs), so the chaos suite's poison sentinel trips here instead —
@@ -141,11 +145,11 @@ def _execute_job(engine: InferenceEngine, job: dict, lo: int, hi: int):
             engine,
             job["user"],
             job["k"],
-            lo,
-            hi,
+            job["lo"],
+            job["hi"],
             retrieval=job.get("retrieval", "exact"),
             nprobe=job.get("nprobe"),
-            exclude_slots=set(job.get("exclude_slots", ())),
+            exclude_slots=job.get("exclude_slots"),
         )
     if op == "score":
         return [float(s) for s in engine.score_pairs(job["pairs"])]
@@ -162,8 +166,6 @@ def _daemon_worker_main(
     result,
     shm_ref,
     catalog: Sequence[str],
-    lo: int,
-    hi: int,
     engine_options: dict,
     prebuild_ann: bool,
     telemetry_dir: str | None,
@@ -175,7 +177,8 @@ def _daemon_worker_main(
 
     Forked from the parent, so ``result`` (the trained model) arrives by
     inheritance, never pickled; the catalog matrix arrives as a read-only
-    shared-memory view. ``None`` on the task queue is the stop sentinel.
+    shared-memory view. A recommend job carries the slot range to score.
+    ``None`` on the task queue is the stop sentinel.
     """
     pack = attach(shm_ref)
     sink = None
@@ -221,7 +224,7 @@ def _daemon_worker_main(
         work_start = time.perf_counter()
         for job in jobs:
             try:
-                entries.append((job["job"], "ok", _execute_job(engine, job, lo, hi)))
+                entries.append((job["job"], "ok", _execute_job(engine, job)))
             except Exception as error:  # noqa: BLE001 - one bad request must
                 # not take down the batch, the worker, or the fleet.
                 entries.append(
@@ -297,12 +300,13 @@ class _Request:
 
 @dataclass
 class _Job:
-    """One dispatched request: shard bookkeeping until the merge."""
+    """One dispatched request: per-slot bookkeeping until the merge."""
 
     job_id: int
     request: _Request
     op: str
-    payload: dict
+    #: slot -> the job dict sent to it (kept for re-dispatch after a death).
+    payloads: dict[int, dict]
     pending: set[int]
     level: int
     retrieval: str | None = None
@@ -399,7 +403,7 @@ class RecommendDaemon:
         # Publish installs the SIGTERM/SIGINT shm sweep, so a killed daemon
         # never leaks the catalog segment.
         self._pack = ShmPack.publish({"reprs": reprs}, prefix="repro-serve")
-        bounds = shard_bounds(len(self.item_ids), cfg.workers)
+        self._bounds = shard_bounds(len(self.item_ids), cfg.workers)
 
         result_queue = multiprocessing_queue()
         self._result_queue = result_queue
@@ -416,7 +420,6 @@ class RecommendDaemon:
             worker_result = result
 
         def args_fn(slot: int, generation: int, task_queue):
-            lo, hi = bounds[slot]
             return (
                 slot,
                 generation,
@@ -425,8 +428,6 @@ class RecommendDaemon:
                 worker_result,
                 shm_ref,
                 catalog,
-                lo,
-                hi,
                 dict(engine_options),
                 cfg.prebuild_ann,
                 cfg.telemetry_dir,
@@ -733,8 +734,17 @@ class RecommendDaemon:
                     {"status": "timeout", "error": "deadline expired in queue"},
                 )
 
+    def _next_slot(self) -> int:
+        """The next slot for a single-worker job, round robin (lock held)."""
+        slot = self._round_robin % self.config.workers
+        self._round_robin += 1
+        return slot
+
     def _dispatch_batch(self, batch: list[_Request]) -> list[_Request]:
         """Turn admitted requests into per-slot job batches (lock held).
+
+        An exact recommend fans out, one shard range per slot; an IVF
+        recommend, a ``score`` and a ``warm`` go to one slot, round robin.
 
         Returns the requests whose deadline already expired in the queue;
         the caller answers them after releasing the lock.
@@ -773,10 +783,17 @@ class RecommendDaemon:
                     "nprobe": message.get("nprobe", cfg.nprobe),
                     "exclude_slots": exclude_slots,
                 }
-                pending = set(range(cfg.workers))
+                if retrieval == "ivf":
+                    # A shortlist scan gains nothing from fanning out; it
+                    # would only encode the user and probe on every slot.
+                    ranges = {self._next_slot(): (0, len(self.item_ids))}
+                else:
+                    ranges = dict(enumerate(self._bounds))
+                payloads = {
+                    slot: dict(payload, lo=lo, hi=hi)
+                    for slot, (lo, hi) in ranges.items()
+                }
             else:
-                slot = self._round_robin % cfg.workers
-                self._round_robin += 1
                 if op == "score":
                     payload = {
                         "job": job_id,
@@ -789,21 +806,21 @@ class RecommendDaemon:
                         "op": "warm",
                         "users": list(message["users"]),
                     }
-                pending = {slot}
+                payloads = {self._next_slot(): payload}
                 retrieval = None
             job = _Job(
                 job_id=job_id,
                 request=request,
                 op=op,
-                payload=payload,
-                pending=set(pending),
+                payloads=payloads,
+                pending=set(payloads),
                 level=level,
                 retrieval=retrieval,
             )
-            for slot in pending:
+            for slot, slot_payload in payloads.items():
                 job.attempts[slot] = 0
                 job.dispatched[slot] = now
-                per_slot.setdefault(slot, []).append(payload)
+                per_slot.setdefault(slot, []).append(slot_payload)
             self._outstanding[job_id] = job
         for slot, jobs in per_slot.items():
             self._supervisor.send(slot, ("batch", jobs))
@@ -956,7 +973,7 @@ class RecommendDaemon:
             job.attempts[slot] = attempt
             job.dispatched[slot] = now
             self._counters["retries"] += 1
-            self._supervisor.send(slot, ("batch", [job.payload]))
+            self._supervisor.send(slot, ("batch", [job.payloads[slot]]))
             requeued += 1
             self._emit(
                 "daemon_requeue", job=job_id, slot=slot, attempt=attempt

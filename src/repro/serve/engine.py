@@ -40,7 +40,7 @@ from ..core.model import RATING_VALUES
 from ..nn import functional as F
 from ..obs import MetricsRegistry, get_active_sink
 from .ann import DEFAULT_ITERS, DEFAULT_NPROBE, IVFIndex, default_nlist
-from .blocking import DEFAULT_BLOCK, encode_blocked, inference_mode
+from .blocking import DEFAULT_BLOCK, USER_BLOCK, encode_blocked, inference_mode
 from .item_index import ItemIndex
 from .user_cache import DEFAULT_CAPACITY, UserReprCache
 
@@ -120,8 +120,10 @@ class InferenceEngine:
         result:
             A :class:`repro.core.TrainResult` (model + store + generator).
         batch_size:
-            Rows per encode block *and* per rating-head chunk. All paths
-            that must agree bitwise have to share this value.
+            Rows per item encode block *and* per rating-head chunk. All
+            paths that must agree bitwise have to share this value. Users
+            always encode in blocks of
+            :data:`~repro.serve.blocking.USER_BLOCK` rows.
         cache_capacity:
             Maximum resident users in the representation LRU.
         catalog:
@@ -196,8 +198,9 @@ class InferenceEngine:
     # Encoding
     # ------------------------------------------------------------------
     def _encode_users(self, user_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked rating-head inputs for ``user_ids`` (one blocked pass per
-        extractor tower, then the mode-specific combination of Eq. 18)."""
+        """Stacked rating-head inputs for ``user_ids`` (one pass per
+        extractor tower in ``USER_BLOCK``-row blocks, then the mode-specific
+        combination of Eq. 18)."""
         start = time.perf_counter()
         target_docs = np.stack([self.docs.target_doc(u) for u in user_ids])
         with inference_mode(self.model):
@@ -206,7 +209,7 @@ class InferenceEngine:
                     t.data for t in self.model.user_extractor.extract_target(chunk)
                 ),
                 target_docs,
-                self.batch_size,
+                USER_BLOCK,
             )
             source_inv = None
             if self.blend:
@@ -217,7 +220,7 @@ class InferenceEngine:
                         for t in self.model.user_extractor.extract_source(chunk)
                     ),
                     source_docs,
-                    self.batch_size,
+                    USER_BLOCK,
                 )
             # _rating_inputs is purely elementwise + concat, so its per-row
             # results do not depend on the batch's row count — safe to run

@@ -10,8 +10,9 @@ as the legacy predictor's was; the towers are what cost).
 It produces **bit-identical** predictions to
 :meth:`repro.serve.engine.InferenceEngine.score_pairs` at the same
 ``batch_size`` because both route every extractor pass through the
-canonical blocked encoder (see ``repro.serve.blocking``) and chunk the
-rating head identically. The regression tests and
+canonical blocked encoder (see ``repro.serve.blocking``) — user towers in
+``USER_BLOCK``-row blocks, items in ``batch_size``-row blocks — and chunk
+the rating head identically. The regression tests and
 ``benchmarks/test_inference.py`` hold the two paths to exact equality.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from .. import nn
 from ..core.model import RATING_VALUES
 from ..nn import functional as F
-from .blocking import DEFAULT_BLOCK, encode_blocked, inference_mode
+from .blocking import DEFAULT_BLOCK, USER_BLOCK, encode_blocked, inference_mode
 from .engine import ColdStartDocuments
 
 __all__ = ["naive_score_pairs"]
@@ -51,7 +52,7 @@ def naive_score_pairs(
                     t.data for t in model.user_extractor.extract_target(c)
                 ),
                 target_docs,
-                batch_size,
+                USER_BLOCK,
             )
             source_inv = None
             if blend:
@@ -61,7 +62,7 @@ def naive_score_pairs(
                         t.data for t in model.user_extractor.extract_source(c)
                     ),
                     source_docs,
-                    batch_size,
+                    USER_BLOCK,
                 )
             item_repr = encode_blocked(
                 lambda c: model.item_extractor(c).data, item_docs, batch_size

@@ -15,12 +15,16 @@ on two facts:
   in its own shard's top-K (at most K items beat it anywhere, so at most
   K beat it locally).
 
-IVF retrieval shards the *shortlist* instead: every worker holds the same
-deterministically built coarse index (same matrix, seed, nlist, iters →
-same k-means), probes it identically, and scores only the candidate slots
-inside its shard. The union of shard candidates is exactly the global
-candidate set, so sharded IVF matches single-process IVF bit for bit, and
-``nprobe >= nlist`` remains the exact path.
+IVF retrieval is not fanned out: it scores only a shortlist, so the daemon
+hands an IVF recommend to one worker with the whole slot range ``[0, n)``.
+Every worker holds the same deterministically built coarse index (same
+matrix, seed, nlist, iters → same k-means) and probes it identically, so
+whichever worker gets the job ranks the same candidates through the same
+blocked head; its single partial merges to itself and matches
+single-process IVF bit for bit, and ``nprobe >= nlist`` remains the exact
+path. (``shard_topk`` still keeps only the candidates inside ``[lo, hi)``,
+so IVF over several shards is correct too — it just repeats the user
+encode and the probe on every worker.)
 """
 
 from __future__ import annotations
@@ -79,12 +83,7 @@ def shard_topk(
     else:
         slots = np.arange(lo, hi, dtype=np.intp)
     if exclude_slots:
-        keep = np.fromiter(
-            (int(s) not in exclude_slots for s in slots),
-            dtype=bool,
-            count=len(slots),
-        )
-        slots = slots[keep]
+        slots = slots[np.isin(slots, list(exclude_slots), invert=True)]
     if len(slots) == 0:
         return []
     scores = engine._score_user_rows(invariant, user_repr, reprs, slots)

@@ -149,6 +149,75 @@ class TestBitIdentity:
             assert response["items"] == wire_items(reference, user, 3)
 
 
+class TestPlacement:
+    """Which slots a job reaches, seen through a spy on the supervisor's
+    ``send``: exact recommends fan out over the shards, IVF recommends and
+    ``warm``/``score`` ops go to one slot, round robin."""
+
+    @pytest.fixture()
+    def sends(self, daemon, monkeypatch):
+        sent = []
+        send = daemon._supervisor.send
+
+        def spy(slot, message):
+            sent.append((slot, message))
+            send(slot, message)
+
+        monkeypatch.setattr(daemon._supervisor, "send", spy)
+        return sent
+
+    @staticmethod
+    def jobs(sends, op):
+        return [
+            (slot, job)
+            for slot, (_, batch) in sends
+            for job in batch
+            if job["op"] == op
+        ]
+
+    @pytest.mark.parametrize("exclude_count", [0, 2])
+    def test_ivf_recommend_goes_to_one_slot(
+        self, client, reference, users, sends, exclude_count
+    ):
+        user = users[3]
+        exclude = [
+            r.item_id for r in reference.recommend(user, 3, retrieval="ivf")
+        ][:exclude_count]
+        response = client.recommend(user, k=5, retrieval="ivf", exclude=exclude)
+        assert response["status"] == "ok"
+        assert response["items"] == wire_items(
+            reference, user, 5, retrieval="ivf", exclude_items=exclude
+        )
+        ((slot, job),) = self.jobs(sends, "recommend")
+        assert slot in (0, 1)
+        assert (job["lo"], job["hi"]) == (0, len(reference.items))
+
+    def test_consecutive_ivf_recommends_alternate_slots(
+        self, client, users, sends
+    ):
+        for user in users[:2]:
+            assert client.recommend(user, k=3, retrieval="ivf")["status"] == "ok"
+        slots = [slot for slot, _ in self.jobs(sends, "recommend")]
+        assert sorted(slots) == [0, 1]
+
+    def test_exact_recommend_fans_out_over_the_shards(
+        self, client, reference, users, sends
+    ):
+        response = client.recommend(users[4], k=5)
+        assert response["items"] == wire_items(reference, users[4], 5)
+        ranges = {
+            slot: (job["lo"], job["hi"])
+            for slot, job in self.jobs(sends, "recommend")
+        }
+        half = (len(reference.items) + 1) // 2
+        assert ranges == {0: (0, half), 1: (half, len(reference.items))}
+
+    def test_consecutive_warms_reach_both_slots(self, client, users, sends):
+        for _ in range(2):
+            assert client.warm(users[:2])["status"] == "ok"
+        assert sorted(slot for slot, _ in self.jobs(sends, "warm")) == [0, 1]
+
+
 class TestRequestErrors:
     def test_malformed_request_errors_without_side_effects(self, client):
         response = client.request({"op": "explode"})

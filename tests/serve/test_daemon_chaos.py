@@ -75,6 +75,36 @@ class TestScheduledKills:
         assert stats["errors"] == 0
         assert stats["workers_alive"] == 2  # the fleet healed
 
+    def test_single_slot_ivf_recommend_is_requeued_on_its_slot(
+        self, trained, reference, users
+    ):
+        # An IVF recommend runs on one slot; both slots' first generation
+        # dies on its first batch, so whichever slot gets the job, the job
+        # is requeued onto that slot's respawn and completes exactly.
+        plan = ServeKillPlan([(0, 0, 0), (1, 0, 0)])
+        daemon = make_daemon(trained, kill_plan=plan)
+        try:
+            with ServeClient(daemon.config.host, daemon.port) as client:
+                response = client.request(
+                    {
+                        "op": "recommend",
+                        "user": users[0],
+                        "k": 5,
+                        "retrieval": "ivf",
+                    },
+                    timeout=60,
+                )
+            assert response["status"] == "ok"
+            assert response["items"] == wire_items(
+                reference, users[0], 5, retrieval="ivf"
+            )
+            stats = daemon.stats()
+        finally:
+            daemon.stop()
+        assert stats["deaths"] == 1  # the other slot never got a batch
+        assert stats["retries"] == 1
+        assert stats["errors"] == 0
+
     def test_retry_budget_exhaustion_surfaces_as_error(
         self, trained, users
     ):
@@ -188,9 +218,12 @@ class TestPoison:
 
 class TestDegradedServing:
     def test_cached_only_level_sheds_cold_users_serves_warm_ones(
-        self, trained, reference, users
+        self, trained, reference, users, monkeypatch
     ):
         daemon = make_daemon(trained)
+        # Pin the level: the housekeeping tick would otherwise reset an
+        # idle daemon to normal before the next request arrives.
+        monkeypatch.setattr(daemon, "_update_level", lambda: None)
         try:
             with ServeClient(daemon.config.host, daemon.port) as client:
                 warm_user, cold_user = users[0], users[1]

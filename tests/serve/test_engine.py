@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ColdStartPredictor, OmniMatchTrainer
 from repro.serve import InferenceEngine, naive_score_pairs
+from repro.serve.blocking import USER_BLOCK
 
 from .helpers import tiny_config
 
@@ -37,6 +38,43 @@ class TestBitIdentity:
         cached = engine.score_pairs(test_pairs)
         naive = naive_score_pairs(result, test_pairs, batch_size=32)
         np.testing.assert_array_equal(cached, naive)
+
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    @pytest.mark.parametrize("mode", ["blend", "dual", "aux_only"])
+    def test_engine_matches_naive_reference_at_any_batch_size(
+        self, mode_results, test_pairs, mode, batch_size
+    ):
+        """Users encode in USER_BLOCK rows on both paths whatever the batch
+        size; items and head chunks follow ``batch_size`` on both. (Batch
+        size 32 is the test above.)"""
+        result = mode_results[(mode, True)]
+        engine = InferenceEngine(result, batch_size=batch_size)
+        np.testing.assert_array_equal(
+            engine.score_pairs(test_pairs),
+            naive_score_pairs(result, test_pairs, batch_size=batch_size),
+        )
+
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    def test_single_user_miss_encodes_one_user_block(
+        self, mode_results, test_pairs, monkeypatch, batch_size
+    ):
+        result = mode_results[("dual", True)]
+        extractor = result.model.user_extractor
+        rows = {"extract_target": [], "extract_source": []}
+        for name, calls in rows.items():
+            tower = getattr(extractor, name)
+
+            def spy(chunk, tower=tower, calls=calls):
+                calls.append(len(chunk))
+                return tower(chunk)
+
+            monkeypatch.setattr(extractor, name, spy)
+        engine = InferenceEngine(result, batch_size=batch_size)
+        engine.score_pairs(test_pairs[:1])
+        assert rows == {
+            "extract_target": [USER_BLOCK],
+            "extract_source": [USER_BLOCK],
+        }
 
     def test_repeat_scoring_is_stable(self, mode_results, test_pairs):
         engine = InferenceEngine(mode_results[("dual", True)], batch_size=32)
