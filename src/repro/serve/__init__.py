@@ -6,7 +6,8 @@ per-user rating-head inputs, and an :class:`InferenceEngine` that scores
 (user, item) pairs from the caches and ranks the full catalog with exact
 top-K. Predictions are bit-identical to the naive re-encoding path
 (:func:`naive_score_pairs`) — see ``repro.serve.blocking`` for the
-fixed-block encoding invariant that makes the guarantee hold.
+fixed-block encoding invariant and the folded rating head that make the
+guarantee hold.
 
 ``repro.core.ColdStartPredictor`` delegates here, so the evaluation
 protocol and every caller of ``predict_pairs`` get the cached fast path

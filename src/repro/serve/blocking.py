@@ -15,25 +15,52 @@ With the GEMM ``m`` fixed, an entity's representation is a pure function of
 its own document: encode-once caching, cache eviction + re-encode, and
 full re-encoding all agree bit for bit.
 
-Two fixed row counts are in use. Items (and rating-head chunks) go in
+Two fixed row counts are in use. Items (and rating-head blocks) go in
 blocks of the engine's ``batch_size`` (:data:`DEFAULT_BLOCK`), because the
 catalog is encoded in bulk. Users always go in blocks of
 :data:`USER_BLOCK`, whatever the batch size: a user-cache miss is usually
 one cold user, and a 256-row block would be 255 rows of padding. 32 is the
 smallest block whose rows are bit-identical to a 256-row block on the
 reference box (blocks of 1–16 differ), so it serves the same scores.
+
+The rating head has its own primitive here, :func:`score_user_rows`, for
+the same reason: every serving path (exact scan, IVF candidates and
+centroid probe, shard scans, pair scoring, and the reference path) scores
+through it, so they all run the same float operations. It folds the user
+into the head's first layer (Eq. 18's MLP over ``[user_repr, r_item,
+invariant * r_item]``): with ``W0 = [W_u | W_i | W_x]`` split by column,
+
+* ``const = user_repr @ W_u.T + b0`` (one row), and
+* ``W_eff = W_i.T + invariant[:, None] * W_x.T`` (``item_dim x hidden``),
+
+so a block of item rows costs ``relu(rows @ W_eff + const)`` — an
+``item_dim``-wide GEMM instead of the ``head_dim``-wide one over
+concatenated features — then the remaining layers, softmax and the
+expected rating, in plain numpy (no autograd tape). The fold reassociates
+the first layer's sums, so served scores equal the training MLP
+(``OmniMatchModel.rating_logits``) on the same representations to float
+rounding, not bit for bit; every serving path agrees with every other bit
+for bit, because they share this function and its fixed block row count.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .. import nn
+from ..core.model import RATING_VALUES
 
-__all__ = ["DEFAULT_BLOCK", "USER_BLOCK", "encode_blocked", "inference_mode"]
+__all__ = [
+    "DEFAULT_BLOCK",
+    "USER_BLOCK",
+    "encode_blocked",
+    "inference_mode",
+    "score_pairs_by_user",
+    "score_user_rows",
+]
 
 #: Default rows per item encode block (also the engine's default batch size).
 DEFAULT_BLOCK = 256
@@ -99,3 +126,129 @@ def encode_blocked(
         for parts in zip(*pieces)
     )
     return outputs
+
+
+class _FoldedHead:
+    """The rating head with one user folded into its first layer."""
+
+    def __init__(
+        self, head: nn.MLP, invariant: np.ndarray, user_repr: np.ndarray
+    ) -> None:
+        first = head.linears[0]
+        weight = first.weight.data
+        user_repr = user_repr.reshape(-1)
+        user_width = len(user_repr)
+        item_width = (weight.shape[1] - user_width) // 2
+        # Row-major weight column slices go to BLAS as they are (no copy).
+        self.const = weight[:, :user_width] @ user_repr
+        if first.bias is not None:
+            self.const += first.bias.data
+        # (item_dim, hidden) in C order: the block GEMM's fast layout.
+        self.w_eff = weight[:, user_width + item_width :].T.copy()
+        self.w_eff *= invariant.reshape(-1, 1)
+        self.w_eff += weight[:, user_width : user_width + item_width].T
+        self.rest = [
+            (
+                np.ascontiguousarray(linear.weight.data.T),
+                None if linear.bias is None else linear.bias.data,
+            )
+            for linear in head.linears[1:]
+        ]
+        self.final_relu = head.final_activation
+        self.ratings = RATING_VALUES.astype(weight.dtype)
+
+    def __call__(self, rows: np.ndarray, kept: int) -> np.ndarray:
+        """Expected ratings for the first ``kept`` rows of one padded block.
+
+        Every GEMM and the softmax run on the whole block, so their row
+        count never changes; the elementwise bias and ReLU steps, exact
+        in IEEE arithmetic whatever the array length, skip the pad rows.
+        """
+        hidden = rows @ self.w_eff
+        hidden[:kept] += self.const
+        for weight, bias in self.rest:
+            np.maximum(hidden[:kept], 0.0, out=hidden[:kept])
+            hidden = hidden @ weight
+            if bias is not None:
+                hidden += bias
+        if self.final_relu:
+            np.maximum(hidden, 0.0, out=hidden)
+        # Softmax-weighted expected rating, sum_k p(k) * k, without forming
+        # p. Column-major logits make the per-row reductions over the five
+        # classes several times faster.
+        logits = np.asfortranarray(hidden)
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        return ((logits @ self.ratings) / logits.sum(axis=1))[:kept]
+
+
+def score_user_rows(
+    head: nn.MLP,
+    invariant: np.ndarray,
+    user_repr: np.ndarray,
+    matrix: np.ndarray,
+    slots: np.ndarray | None = None,
+    *,
+    block: int = DEFAULT_BLOCK,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Expected ratings of one user against ``matrix`` rows (all of them,
+    or the ``slots`` gather), through the folded rating head.
+
+    ``invariant``/``user_repr`` are the user's rating-head inputs (one row
+    each). Item rows are copied ``block`` at a time into ``rows`` (a
+    ``(block, item_dim)`` scratch, allocated when omitted) and the final
+    partial block is zero-padded, so every head GEMM has exactly ``block``
+    rows and a row's score does not depend on which rows share its block.
+    Scores go to ``out`` (allocated when omitted) and are returned.
+    """
+    count = len(matrix) if slots is None else len(slots)
+    if out is None:
+        out = np.empty(count, dtype=matrix.dtype)
+    if count == 0:
+        return out
+    if rows is None:
+        rows = np.zeros((block, matrix.shape[1]), dtype=matrix.dtype)
+    folded = _FoldedHead(head, invariant, user_repr)
+    for start in range(0, count, block):
+        kept = min(block, count - start)
+        if slots is None:
+            rows[:kept] = matrix[start : start + kept]
+        else:
+            np.take(matrix, slots[start : start + kept], axis=0, out=rows[:kept])
+        if kept < block:  # zero the pad rows, like encode_blocked
+            rows[kept:] = 0.0
+        out[start : start + kept] = folded(rows, kept)
+    return out
+
+
+def score_pairs_by_user(
+    head: nn.MLP,
+    user_ids: Sequence[str],
+    user_rows: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    item_rows: np.ndarray,
+    *,
+    block: int = DEFAULT_BLOCK,
+) -> np.ndarray:
+    """Expected ratings for pairs: pair ``p`` is user ``user_ids[p]``,
+    whose rating-head inputs are ``user_rows[user_id] = (invariant,
+    user_repr)``, with item row ``item_rows[p]``.
+
+    Pairs are grouped by user in first-seen order and each user's item
+    rows go through one :func:`score_user_rows` call, so a pair's score is
+    the one a full-catalog scan gives that (user, item).
+    """
+    out = np.empty(len(user_ids), dtype=item_rows.dtype)
+    groups: dict[str, list[int]] = {}
+    for position, user_id in enumerate(user_ids):
+        groups.setdefault(user_id, []).append(position)
+    rows = np.zeros((block, item_rows.shape[1]), dtype=item_rows.dtype)
+    for user_id, positions in groups.items():
+        positions = np.asarray(positions, dtype=np.intp)
+        invariant, user_repr = user_rows[user_id]
+        out[positions] = score_user_rows(
+            head, invariant, user_repr, item_rows, positions,
+            block=block, rows=rows,
+        )
+    return out

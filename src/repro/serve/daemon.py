@@ -9,7 +9,7 @@ without giving up its bit-identity contract:
   fixed fleet of workers (:class:`~repro.parallel.WorkerSupervisor`) that
   adopt zero-copy views of it. An exact recommend fans out: each worker
   scores the contiguous slot shard the daemon puts in its job through the
-  exact blocked rating head, so the parent-side merge
+  folded rating head (fixed-size blocks), so the parent-side merge
   (:mod:`~repro.serve.shard_merge`) reproduces single-process
   ``recommend`` output bit for bit. An IVF recommend scans only a
   shortlist, so it goes to one worker with the whole slot range, like a
@@ -22,10 +22,13 @@ Robustness envelope (each failure mode is detected, mitigated, and keeps
 a stated guarantee — see DESIGN.md §14 for the full table):
 
 * **Worker death** mid-request: a housekeeping tick detects the corpse,
-  respawns the slot at ``generation + 1`` with a fresh task queue, and
-  re-dispatches every job the dead worker still owed, bounded by a retry
-  budget. Completed responses are never wrong — a job either finishes
-  with exact scores or fails loudly.
+  respawns the slot at ``generation + 1`` with a fresh task queue and a
+  fresh result pipe, and re-dispatches every job the dead worker still
+  owed, bounded by a retry budget. Completed responses are never wrong —
+  a job either finishes with exact scores or fails loudly. Each worker
+  generation writes results to its own pipe, with no lock shared with
+  other workers, so a SIGKILL mid-send cannot wedge the rest of the
+  fleet.
 * **Wedged worker**: a stall watchdog SIGKILLs any slot whose oldest
   in-flight dispatch exceeds the stall budget, converting the stall into
   the already-handled death path.
@@ -55,12 +58,14 @@ workers).
 from __future__ import annotations
 
 import os
-import queue as queue_module
+import pickle
 import socket
+import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 from typing import Sequence
 
 import numpy as np
@@ -162,7 +167,7 @@ def _daemon_worker_main(
     slot: int,
     generation: int,
     task_queue,
-    result_queue,
+    result_conn,
     result,
     shm_ref,
     catalog: Sequence[str],
@@ -178,7 +183,8 @@ def _daemon_worker_main(
     Forked from the parent, so ``result`` (the trained model) arrives by
     inheritance, never pickled; the catalog matrix arrives as a read-only
     shared-memory view. A recommend job carries the slot range to score.
-    ``None`` on the task queue is the stop sentinel.
+    ``None`` on the task queue is the stop sentinel. Results go to
+    ``result_conn``, the write end of this generation's own result pipe.
     """
     pack = attach(shm_ref)
     sink = None
@@ -195,14 +201,11 @@ def _daemon_worker_main(
     if sink is not None:
         sink.emit("worker_start", worker=slot, generation=generation)
         sink.flush()
-    result_queue.put(("ready", slot, generation))
+    result_conn.send(("ready", slot, generation))
 
     def _die() -> None:
-        # Injected death: drain this process's result-queue feeder before
-        # exiting so a corpse never wedges the shared write lock, then die
-        # without any other cleanup — exactly like a SIGKILL.
-        result_queue.close()
-        result_queue.join_thread()
+        # Injected death: sends are synchronous, so nothing is left to
+        # flush; die without any other cleanup — exactly like a SIGKILL.
         os._exit(ServeKillPlan.EXIT_CODE)
 
     batch_index = 0
@@ -232,7 +235,7 @@ def _daemon_worker_main(
                 )
         busy += time.perf_counter() - work_start
         handled += len(jobs)
-        result_queue.put(("results", slot, generation, batch_index, entries))
+        result_conn.send(("results", slot, generation, batch_index, entries))
         batch_index += 1
 
     if sink is not None:
@@ -245,13 +248,54 @@ def _daemon_worker_main(
         )
         sink.close()
     pack.close()
-    result_queue.close()
-    result_queue.join_thread()
+    result_conn.close()
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+class _ResultPipe:
+    """One worker generation's result pipe, read by the parent without
+    ever blocking.
+
+    The worker is the only writer, so no lock is shared with the rest of
+    the fleet (a worker SIGKILLed while holding a shared queue's write lock
+    would wedge every other writer for good). A SIGKILL mid-send can still
+    leave a partial frame in this pipe, and a blocking ``recv`` would wait
+    for the rest forever. So the parent reads whatever bytes are there and
+    reassembles ``Connection.send`` frames itself; a torn frame stays an
+    incomplete buffer and is dropped with its generation.
+    """
+
+    def __init__(self, ctx) -> None:
+        self.reader, self.writer = ctx.Pipe(duplex=False)
+        os.set_blocking(self.reader.fileno(), False)
+        self._buffer = bytearray()
+
+    def messages(self) -> list:
+        """Every complete message that has arrived, in order."""
+        while True:
+            try:
+                chunk = os.read(self.reader.fileno(), 1 << 16)
+            except BlockingIOError:
+                break
+            if not chunk:
+                break
+            self._buffer += chunk
+        out = []
+        while len(self._buffer) >= 4:
+            (size,) = struct.unpack("!i", self._buffer[:4])
+            if len(self._buffer) < 4 + size:
+                break
+            out.append(pickle.loads(self._buffer[4 : 4 + size]))
+            del self._buffer[: 4 + size]
+        return out
+
+    def close(self) -> None:
+        self.reader.close()
+        self.writer.close()
+
+
 class _Connection:
     """One accepted client socket plus a write lock for its responders."""
 
@@ -361,6 +405,11 @@ class RecommendDaemon:
         self._sink: TelemetrySink | None = None
         self._pack: ShmPack | None = None
         self._supervisor: WorkerSupervisor | None = None
+        # slot -> its current generation's result pipe. Retired pipes are
+        # closed by the collector, the only thread that reads them.
+        self._result_pipes: dict[int, _ResultPipe] = {}
+        self._retired_pipes: list[_ResultPipe] = []
+        self._pipes_lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._last_stats = 0.0
 
@@ -405,8 +454,6 @@ class RecommendDaemon:
         self._pack = ShmPack.publish({"reprs": reprs}, prefix="repro-serve")
         self._bounds = shard_bounds(len(self.item_ids), cfg.workers)
 
-        result_queue = multiprocessing_queue()
-        self._result_queue = result_queue
         shm_ref = self._pack.ref
         run_stamp = self._run_stamp
         result = self.result
@@ -420,11 +467,17 @@ class RecommendDaemon:
             worker_result = result
 
         def args_fn(slot: int, generation: int, task_queue):
+            pipe = _ResultPipe(self._supervisor.ctx)
+            with self._pipes_lock:
+                retired = self._result_pipes.get(slot)
+                if retired is not None:  # the dead generation's pipe
+                    self._retired_pipes.append(retired)
+                self._result_pipes[slot] = pipe
             return (
                 slot,
                 generation,
                 task_queue,
-                result_queue,
+                pipe.writer,
                 worker_result,
                 shm_ref,
                 catalog,
@@ -534,6 +587,11 @@ class RecommendDaemon:
             self._supervisor.stop()
         for thread in self._threads:
             thread.join(timeout=5)
+        with self._pipes_lock:
+            for pipe in [*self._result_pipes.values(), *self._retired_pipes]:
+                pipe.close()
+            self._result_pipes.clear()
+            self._retired_pipes.clear()
         for conn in list(self._connections):
             conn.close()
         snapshot = self.stats()
@@ -831,25 +889,35 @@ class RecommendDaemon:
     # ------------------------------------------------------------------
     def _collect_loop(self) -> None:
         while True:
+            with self._pipes_lock:
+                for pipe in self._retired_pipes:
+                    pipe.close()
+                self._retired_pipes.clear()
+                pipes = {pipe.reader: pipe for pipe in self._result_pipes.values()}
             try:
-                message = self._result_queue.get(timeout=0.1)
-            except queue_module.Empty:
+                ready = wait_readable(list(pipes), timeout=0.1)
+            except (OSError, ValueError):  # pipes closed by stop()
+                return
+            if not ready:
                 if self._stopping:
                     with self._lock:
                         if not self._outstanding:
                             return
                 continue
-            except (OSError, ValueError):  # queue torn down mid-get
-                return
-            kind = message[0]
-            if kind == "ready":
-                _, slot, generation = message
-                with self._lock:
-                    self._ready[slot] = generation
-                self._emit("daemon_worker_ready", slot=slot, generation=generation)
-            elif kind == "results":
-                _, slot, generation, _batch_index, entries = message
-                self._absorb_results(slot, entries)
+            for reader in ready:
+                for message in pipes[reader].messages():
+                    self._collect(message)
+
+    def _collect(self, message: tuple) -> None:
+        kind = message[0]
+        if kind == "ready":
+            _, slot, generation = message
+            with self._lock:
+                self._ready[slot] = generation
+            self._emit("daemon_worker_ready", slot=slot, generation=generation)
+        elif kind == "results":
+            _, slot, generation, _batch_index, entries = message
+            self._absorb_results(slot, entries)
 
     def _absorb_results(self, slot: int, entries: list) -> None:
         finished: list[tuple[_Job, dict]] = []
@@ -1076,10 +1144,3 @@ class _ResultWithStore:
 
     def __getattr__(self, name: str):
         return getattr(self._result, name)
-
-
-def multiprocessing_queue():
-    """A fork-context queue (module-level so tests can monkeypatch it)."""
-    import multiprocessing
-
-    return multiprocessing.get_context("fork").Queue()

@@ -7,12 +7,19 @@ extractor towers over full token documents for every (user, item) pair;
 the :class:`InferenceEngine` runs each tower once per *entity* instead —
 items into an :class:`~repro.serve.item_index.ItemIndex`, users into a
 bounded :class:`~repro.serve.user_cache.UserReprCache` — so steady-state
-pair scoring is a single batched rating-head MLP over cached vectors.
+scoring is the rating-head MLP over cached vectors, with the user folded
+into its first layer (``repro.serve.blocking.score_user_rows``): one
+``item_dim``-wide GEMM per block of items instead of a ``head_dim``-wide
+one over concatenated features.
 
 Bit-identity contract: every encode goes through the canonical blocked
-encoder (``repro.serve.blocking``), so engine predictions match the
-re-encoding reference path (``repro.serve.reference``) bit for bit, and
-``recommend`` scores match ``score_pairs`` over the same catalog exactly.
+encoder and every score through the one folded-head primitive
+(``repro.serve.blocking``), so engine predictions match the re-encoding
+reference path (``repro.serve.reference``) bit for bit, and ``recommend``
+scores match ``score_pairs`` over the same catalog exactly. The folded
+head reassociates the first layer's sums, so served scores equal the
+training MLP (``OmniMatchModel.rating_logits``) on the same
+representations to float rounding, not bit for bit.
 
 Retrieval: ``recommend`` is exact brute force by default. At large catalog
 sizes switch to ``retrieval="ivf"`` — coarse k-means routing over the item
@@ -36,11 +43,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import nn
-from ..core.model import RATING_VALUES
-from ..nn import functional as F
 from ..obs import MetricsRegistry, get_active_sink
 from .ann import DEFAULT_ITERS, DEFAULT_NPROBE, IVFIndex, default_nlist
-from .blocking import DEFAULT_BLOCK, USER_BLOCK, encode_blocked, inference_mode
+from .blocking import (
+    DEFAULT_BLOCK,
+    USER_BLOCK,
+    encode_blocked,
+    inference_mode,
+    score_pairs_by_user,
+    score_user_rows,
+)
 from .item_index import ItemIndex
 from .user_cache import DEFAULT_CAPACITY, UserReprCache
 
@@ -120,7 +132,7 @@ class InferenceEngine:
         result:
             A :class:`repro.core.TrainResult` (model + store + generator).
         batch_size:
-            Rows per item encode block *and* per rating-head chunk. All
+            Rows per item encode block *and* per rating-head block. All
             paths that must agree bitwise have to share this value. Users
             always encode in blocks of
             :data:`~repro.serve.blocking.USER_BLOCK` rows.
@@ -178,8 +190,9 @@ class InferenceEngine:
         self.ann_iters = ann_iters
         self._ann: IVFIndex | None = None
         self._ann_key: tuple | None = None
-        # Reusable scratch for the single-user catalog scorer (satellite:
-        # recommend must not allocate a fresh O(catalog) vector per call).
+        # Reusable scratch for the single-user catalog scorer: one
+        # (batch_size, item_dim) block of item rows and the score vector,
+        # so recommend allocates nothing O(catalog) per call.
         self._features_scratch: np.ndarray | None = None
         self._scores_scratch: np.ndarray | None = None
 
@@ -265,34 +278,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Scoring
     # ------------------------------------------------------------------
-    def _score_rows(
-        self,
-        invariant: np.ndarray,
-        user_repr: np.ndarray,
-        item_rows: np.ndarray,
-    ) -> np.ndarray:
-        """Expected ratings for aligned representation rows (Eq. 18 head).
-
-        The head GEMM is as ``m``-dependent as the extractor GEMMs, so it
-        runs through the same padded-block primitive: scores never depend
-        on how a request was chunked or how many pairs shared the call.
-        """
-        features = np.concatenate(
-            [user_repr, item_rows, invariant * item_rows], axis=1
-        )
-
-        def head(chunk: np.ndarray) -> np.ndarray:
-            logits = self.model.rating_classifier(nn.Tensor(chunk))
-            return F.softmax(logits, axis=-1).data @ RATING_VALUES
-
-        with inference_mode(self.model):
-            return encode_blocked(head, features, self.batch_size)
-
-    def _head_scores(self, features: np.ndarray) -> np.ndarray:
-        """Rating-head expected ratings for exactly ``batch_size`` rows."""
-        logits = self.model.rating_classifier(nn.Tensor(features))
-        return F.softmax(logits, axis=-1).data @ RATING_VALUES
-
     def _scores_buffer(self, size: int) -> np.ndarray:
         """A ``(size,)`` view of the reusable score scratch (grown, never
         shrunk, so steady-state calls allocate nothing catalog-sized)."""
@@ -308,68 +293,55 @@ class InferenceEngine:
         slots: np.ndarray | None = None,
     ) -> np.ndarray:
         """Score one user against ``matrix`` rows (all of them, or the
-        ``slots`` gather) through the exact blocked rating head.
-
-        Bit-identical to :meth:`_score_rows` over the same rows: the
-        feature blocks are assembled in a fixed ``(batch_size, head_dim)``
-        scratch — user columns broadcast instead of ``np.repeat``-ed, pad
-        rows zeroed exactly like ``encode_blocked`` pads — so the head GEMM
-        sees the same operand matrix either way, without per-call
-        O(catalog) feature/user-row allocations.
-        """
+        ``slots`` gather) through the folded rating head, in the engine's
+        reusable ``(batch_size, item_dim)`` row scratch and score buffer."""
+        shape = (self.batch_size, matrix.shape[1])
+        scratch = self._features_scratch
+        if scratch is None or scratch.shape != shape or scratch.dtype != matrix.dtype:
+            self._features_scratch = np.zeros(shape, dtype=matrix.dtype)
         count = len(matrix) if slots is None else len(slots)
-        out = self._scores_buffer(count)
-        if count == 0:
-            return out
-        dim = matrix.shape[1]
-        user_width = user_repr.shape[1]
-        head_dim = user_width + 2 * dim
-        batch = self.batch_size
-        if (
-            self._features_scratch is None
-            or self._features_scratch.shape != (batch, head_dim)
-            or self._features_scratch.dtype != matrix.dtype
-        ):
-            self._features_scratch = np.zeros((batch, head_dim), dtype=matrix.dtype)
-        features = self._features_scratch
-        features[:, :user_width] = user_repr  # broadcasts the single row
-        with inference_mode(self.model):
-            for start in range(0, count, batch):
-                kept = min(batch, count - start)
-                rows = (
-                    matrix[start : start + kept]
-                    if slots is None
-                    else matrix[slots[start : start + kept]]
-                )
-                features[:kept, user_width : user_width + dim] = rows
-                np.multiply(
-                    rows, invariant,
-                    out=features[:kept, user_width + dim :],
-                )
-                if kept < batch:  # zero the pad rows, like encode_blocked
-                    features[kept:, :] = 0.0
-                out[start : start + kept] = self._head_scores(features)[:kept]
-        return out
+        return score_user_rows(
+            self.model.rating_classifier, invariant, user_repr, matrix, slots,
+            block=self.batch_size,
+            out=self._scores_buffer(count),
+            rows=self._features_scratch,
+        )
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
         """Expected ratings for explicit ``(user_id, item_id)`` pairs.
 
         Bit-identical to the re-encoding reference path
         (:func:`repro.serve.reference.naive_score_pairs`) at the same
-        ``batch_size``; each unique user/item is encoded at most once
-        across the engine's lifetime (modulo LRU eviction).
+        ``batch_size``, and to ``recommend``'s score for each pair: pairs
+        are grouped by user and each user's items go through one folded
+        head call. Each unique user/item is encoded at most once across
+        the engine's lifetime (modulo LRU eviction).
         """
         pairs = list(pairs)
         start = time.perf_counter()
         hits_before, misses_before = self._cache_counters()
-        out = np.empty(len(pairs), dtype=self.out_dtype)
-        for chunk_start in range(0, len(pairs), self.batch_size):
-            chunk = pairs[chunk_start : chunk_start + self.batch_size]
-            invariant, user_repr = self.users.get_many([u for u, _ in chunk])
-            item_rows = self.items.rows([i for _, i in chunk])
-            out[chunk_start : chunk_start + len(chunk)] = self._score_rows(
-                invariant, user_repr, item_rows
+        if pairs:
+            user_ids = [u for u, _ in pairs]
+            # Cache lookups per batch_size pairs keep the stacked user rows
+            # bounded; each user's own rows are copied out of the stack.
+            user_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+            for chunk_start in range(0, len(pairs), self.batch_size):
+                chunk = user_ids[chunk_start : chunk_start + self.batch_size]
+                invariant, user_repr = self.users.get_many(chunk)
+                for row, user_id in enumerate(chunk):
+                    if user_id not in user_rows:
+                        user_rows[user_id] = (
+                            invariant[row].copy(), user_repr[row].copy()
+                        )
+            out = score_pairs_by_user(
+                self.model.rating_classifier,
+                user_ids,
+                user_rows,
+                self.items.rows([i for _, i in pairs]),
+                block=self.batch_size,
             )
+        else:
+            out = np.empty(0, dtype=self.out_dtype)
         seconds = time.perf_counter() - start
         hits_after, misses_after = self._cache_counters()
         self.metrics.inc("serve.pairs_scored", len(pairs))
@@ -447,8 +419,9 @@ class InferenceEngine:
         user_repr: np.ndarray,
         nprobe: int,
     ) -> np.ndarray:
-        """Shortlist slots: rate the centroids with the exact head, probe
-        the ``nprobe`` best (ties toward the lower centroid id)."""
+        """Shortlist slots: rate the centroids with the folded head (as
+        pseudo-items), probe the ``nprobe`` best (ties toward the lower
+        centroid id)."""
         centroid_scores = np.array(
             self._score_user_rows(invariant, user_repr, index.centroids),
             copy=True,  # the scratch buffer is about to be reused
@@ -500,11 +473,12 @@ class InferenceEngine:
     ) -> list[Recommendation]:
         """Top-``k`` of full-catalog scoring for one user.
 
-        With ``retrieval="exact"`` every catalog item is scored via blocked
-        rating-head GEMMs over the item matrix (bit-identical to
-        ``score_pairs`` on the same pairs). With ``"ivf"`` only the
-        shortlist from the probed inverted lists is scored — through the
-        *same* blocked head, so candidate scores match brute force bit for
+        With ``retrieval="exact"`` every catalog item is scored via the
+        folded rating head over the item matrix in ``batch_size``-row
+        blocks (bit-identical to ``score_pairs`` on the same pairs). With
+        ``"ivf"`` only the shortlist from the probed inverted lists is
+        scored — through the *same* folded head, so candidate scores match
+        brute force bit for
         bit and ``nprobe >= nlist`` recovers the exact ranking exactly.
         Ties break toward the lower catalog slot; ``exclude_items`` removes
         already-seen items from the ranking. ``retrieval``/``nprobe``

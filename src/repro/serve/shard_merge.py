@@ -4,11 +4,15 @@ The daemon splits the catalog's slot space into contiguous shards — one
 per worker — and asks each worker for its local top-K. Correctness rests
 on two facts:
 
-* **Row independence.** ``InferenceEngine._score_user_rows`` drives the
-  rating head through fixed-shape padded blocks, so the score of slot
-  ``s`` does not depend on which other slots share the call. A shard
-  scoring ``[lo, hi)`` therefore produces *bit-identical* scores to a
-  full-catalog scan restricted to those rows.
+* **Row independence.** ``InferenceEngine._score_user_rows`` scores
+  through the folded rating head
+  (:func:`repro.serve.blocking.score_user_rows`): the user is folded into
+  the head's first layer once per call, and item rows go through GEMMs of
+  exactly ``batch_size`` rows (the last block zero-padded). Every
+  operation is row-wise or a GEMM with that fixed row count, so the score
+  of slot ``s`` does not depend on which other slots share the call. A
+  shard scoring ``[lo, hi)`` therefore produces *bit-identical* scores to
+  a full-catalog scan restricted to those rows.
 * **Total order.** Ranking is by ``(-score, slot)`` — strictly total, no
   float ties left to argsort whims — so the merge of per-shard top-K
   lists equals the global top-K exactly: any item in the global top-K is
@@ -20,7 +24,7 @@ hands an IVF recommend to one worker with the whole slot range ``[0, n)``.
 Every worker holds the same deterministically built coarse index (same
 matrix, seed, nlist, iters → same k-means) and probes it identically, so
 whichever worker gets the job ranks the same candidates through the same
-blocked head; its single partial merges to itself and matches
+folded head; its single partial merges to itself and matches
 single-process IVF bit for bit, and ``nprobe >= nlist`` remains the exact
 path. (``shard_topk`` still keeps only the candidates inside ``[lo, hi)``,
 so IVF over several shards is correct too — it just repeats the user
@@ -65,7 +69,7 @@ def shard_topk(
 ) -> list[tuple[int, float]]:
     """Local top-``k`` of slots ``[lo, hi)`` as ``[(slot, score), ...]``.
 
-    Scores go through the engine's exact blocked rating head, so each
+    Scores go through the engine's folded rating head, so each
     ``(slot, score)`` is bit-identical to what a full-catalog
     ``recommend`` computes for that slot. The returned list is sorted by
     ``(-score, slot)`` and carries plain Python ints/floats (picklable,

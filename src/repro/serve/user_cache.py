@@ -3,9 +3,11 @@
 For steady-state serving the expensive part of a cold-start prediction is
 everything *upstream* of the rating head: auxiliary-document generation,
 tokenization, and two CNN extractor passes. All of it collapses into two
-vectors per user — the mode-specific ``(invariant, user_repr)`` pair that
-:meth:`OmniMatchModel._rating_inputs` feeds to ``rating_logits`` — so the
-cache stores exactly those rows.
+vectors per user — the mode-specific ``(invariant, user_repr)`` pair from
+:meth:`OmniMatchModel._rating_inputs`, which training feeds to
+``rating_logits`` and serving folds into the head's first layer
+(:func:`repro.serve.blocking.score_user_rows`) — so the cache stores
+exactly those rows.
 
 The cache is bounded (default 4096 users ~ a few MB) with LRU eviction:
 serving millions of users cannot hold every representation resident, but a
