@@ -1,30 +1,25 @@
-"""Training-throughput benchmark: fast path vs the legacy reference path.
+"""Training-throughput benchmark: OmniMatch training samples per second.
 
-Both sides train the same model on the same amazon-profile world from the
-same seed; the only differences are the fast-path switches this benchmark
-exists to measure:
+The ``fast`` variant trains the default model on the amazon-profile world:
+float32, vectorized document-matrix gathers, the fused
+softmax-cross-entropy / linear+relu / conv-bank kernels with cached im2col
+workspaces, under the tape-level graph optimizer (automatic chain fusion +
+arena buffer reuse) — the one training path the trainer has.
 
-* legacy — float64, ``legacy_path=True``: per-sample batch assembly,
-  unfused kernels, ``np.add.at`` scatter (the pre-optimization code path);
-* fast — float32, vectorized document-matrix gathers, fused
-  softmax-cross-entropy / linear+relu, im2col conv with cached workspaces,
-  plus the tape-level graph optimizer (automatic chain fusion + arena
-  buffer reuse — ``OmniMatchConfig.graph_opt``, default on).
+A *coverage arm* trains models the hand-written kernels never touched —
+the BERT-ablation transformer extractor and the DeepCoNN baseline — under
+the graph optimizer, to show the automatic pass reaches them with zero
+per-kernel code.
 
-A third *coverage arm* trains models the hand-written kernels never
-touched — the BERT-ablation transformer extractor and the DeepCoNN
-baseline — under the graph optimizer, to show the automatic pass reaches
-them with zero per-kernel code.
-
-Each variant also runs a short *untimed* fit with ``REPRO_TENSOR_STATS``
+The variant also runs a short *untimed* fit with ``REPRO_TENSOR_STATS``
 counting enabled to record its allocation profile (fresh graph/backward
 bytes, arena hit rate, fused tape nodes); the deltas land in
-``BENCH_throughput.json`` without taxing the timed ratio. Both main variants train with telemetry enabled
-(a sink streaming to a temp directory), so the speedup ratio prices in the
-observability overhead it would pay in a real instrumented run. At full
-scale the fast path must deliver >= 3.5x the legacy samples/sec (ratcheted
-from 3x when the graph optimizer landed); at ``REPRO_BENCH_FAST=1`` scale
-the run is a smoke test and only the report plumbing is asserted.
+``BENCH_throughput.json`` without taxing the timed runs. The timed runs
+train with telemetry enabled (a sink streaming to a temp directory), so
+the rate prices in the observability overhead a real instrumented run
+pays. At full scale the fast variant must stay above
+:data:`FAST_FLOOR_SAMPLES_PER_SEC`; at ``REPRO_BENCH_FAST=1`` scale the run
+is a smoke test and only the report plumbing is asserted.
 """
 
 from __future__ import annotations
@@ -48,9 +43,15 @@ RUNS = 1 if FAST else 2
 PHASES = ("batch_assembly", "forward", "backward", "optimizer")
 
 VARIANTS = {
-    "legacy": dict(dtype="float64", legacy_path=True),
-    "fast": dict(dtype="float32", legacy_path=False),
+    "fast": dict(dtype="float32"),
 }
+
+#: Full-scale floor for the fast variant: under half the lowest of five
+#: full-scale runs (1867–2363 samples/s on a shared 2-core x86 box), so
+#: machine noise cannot trip it, while a fall back to the speed of the
+#: retired float64 per-sample path (639–800 samples/s in the same runs)
+#: still does.
+FAST_FLOOR_SAMPLES_PER_SEC = 900.0
 
 
 #: Allocation counters copied into each variant's ``alloc`` entry.
@@ -70,7 +71,7 @@ def _alloc_profile(dataset, split, flags) -> dict:
     """Allocation counters from a short *untimed* instrumented fit.
 
     Kept separate from the timed runs so the per-node stats counting does
-    not tax the speedup ratio it reports next to.
+    not tax the throughput it reports next to.
     """
     config = bench_config(epochs=min(2, EPOCHS), early_stopping=False, **flags)
     trainer = OmniMatchTrainer(dataset, split, config)
@@ -99,16 +100,14 @@ def _train_variant(dataset, split, flags) -> dict:
             sink.close()
         if best is not None and seconds >= best["seconds"]:
             continue
-        phase_summary = trainer.perf.summary()
+        phase_totals = trainer.tracer.totals()
         best = {
             "samples": samples,
             "seconds": seconds,
             "samples_per_sec": throughput(samples, seconds),
             "epoch_seconds": [stat.seconds for stat in result.history],
             "phases": {
-                name: phase_summary[name]["seconds"]
-                for name in PHASES
-                if name in phase_summary
+                name: phase_totals[name] for name in PHASES if name in phase_totals
             },
             "trace": trainer.tracer.summary(),
             "alloc": alloc,
@@ -127,7 +126,7 @@ def _train_coverage_arm(dataset, split) -> dict:
 
     config = bench_config(
         epochs=EPOCHS, early_stopping=False, dtype="float32",
-        legacy_path=False, extractor="transformer",
+        extractor="transformer",
     )
     trainer = OmniMatchTrainer(dataset, split, config)
     samples = len(split.train_interactions(dataset)) * EPOCHS
@@ -174,10 +173,6 @@ def _run_suite() -> dict:
     }
     for name, flags in VARIANTS.items():
         report["variants"][name] = _train_variant(dataset, split, flags)
-    report["speedup"] = (
-        report["variants"]["fast"]["samples_per_sec"]
-        / report["variants"]["legacy"]["samples_per_sec"]
-    )
     report["coverage"] = _train_coverage_arm(dataset, split)
     return report
 
@@ -196,7 +191,6 @@ def test_throughput(benchmark):
         for phase in PHASES:
             row += f"{stats['phases'].get(phase, 0.0):>16.3f}"
         print(row)
-    print(f"speedup (fast vs legacy): {report['speedup']:.2f}x")
     for name, stats in report["variants"].items():
         alloc = stats["alloc"]
         print(
@@ -216,8 +210,8 @@ def test_throughput(benchmark):
         assert stats["samples_per_sec"] > 0
         assert set(stats["phases"]) == set(PHASES)
         assert set(ALLOC_KEYS) <= set(stats["alloc"])  # counters recorded
-        # Span trace and flat registry are fed from one measurement, so the
-        # per-phase totals must agree (the trace nests them under epoch/).
+        # The flat per-phase totals and the span tree come from one tracer,
+        # so they must agree (the tree nests the phases under epoch/).
         trace_totals = {
             path.rsplit("/", 1)[-1]: entry["inclusive_seconds"]
             for path, entry in stats["trace"].items()
@@ -230,12 +224,12 @@ def test_throughput(benchmark):
     # models (transformer extractor + DeepCoNN) with zero per-kernel code.
     assert report["variants"]["fast"]["alloc"]["fused_ops"] > 0
     assert report["variants"]["fast"]["alloc"]["arena_hits"] > 0
-    assert report["variants"]["legacy"]["alloc"]["fused_ops"] == 0
     for stats in report["coverage"].values():
         assert stats["alloc"]["fused_ops"] > 0
         assert stats["alloc"]["arena_hits"] > 0
     if SHAPE_ASSERTS:
-        # Ratcheted from 3.0x when the tape-level graph optimizer landed.
-        assert report["speedup"] >= 3.5, (
-            f"fast path is only {report['speedup']:.2f}x the legacy path"
+        rate = report["variants"]["fast"]["samples_per_sec"]
+        assert rate >= FAST_FLOOR_SAMPLES_PER_SEC, (
+            f"fast path trains {rate:.0f} samples/s, below the "
+            f"{FAST_FLOOR_SAMPLES_PER_SEC:.0f} samples/s floor"
         )

@@ -383,7 +383,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
           f"RMSE={rmse(actual, predicted):.3f} MAE={mae(actual, predicted):.3f}")
     recoveries = [e for e in result.health
                   if e.kind in ("nonfinite_loss", "nonfinite_grad", "rollback",
-                                "lr_backoff", "kernel_fallback")]
+                                "lr_backoff")]
     if recoveries:
         kinds = ", ".join(sorted({e.kind for e in recoveries}))
         print(f"run health: {len(recoveries)} divergence-recovery event(s) [{kinds}]")

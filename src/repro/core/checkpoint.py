@@ -106,10 +106,27 @@ def _config_to_dict(config: OmniMatchConfig) -> dict:
     return raw
 
 
+#: Config fields earlier versions wrote and this one no longer has. The
+#: graph pass is bit-identical to the plain tape and the kernel fallback
+#: only changed how a diverged epoch was retried, so those two are dropped
+#: silently at any value; a ``legacy_path=True`` run trained on other
+#: kernels, so dropping that one warns.
+_RETIRED_FIELDS = ("divergence_kernel_fallback", "graph_opt", "legacy_path")
+
+
 def _config_from_dict(raw: object, where: str) -> OmniMatchConfig:
     """Rebuild a config, reporting unknown/missing fields by name."""
     if not isinstance(raw, dict):
         raise CheckpointCorruptionError(f"{where}: config is not a JSON object")
+    raw = dict(raw)
+    retired = {name: raw.pop(name) for name in _RETIRED_FIELDS if name in raw}
+    if retired.get("legacy_path"):
+        warnings.warn(
+            f"{where}: retired config field legacy_path=True ignored — the "
+            "model loads and trains on the fused kernels",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     known = {f.name for f in dataclasses.fields(OmniMatchConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -125,11 +142,10 @@ def _config_from_dict(raw: object, where: str) -> OmniMatchConfig:
             RuntimeWarning,
             stacklevel=2,
         )
-    data = dict(raw)
-    if "kernel_sizes" in data:
-        data["kernel_sizes"] = tuple(data["kernel_sizes"])
+    if "kernel_sizes" in raw:
+        raw["kernel_sizes"] = tuple(raw["kernel_sizes"])
     try:
-        return OmniMatchConfig(**data)
+        return OmniMatchConfig(**raw)
     except (TypeError, ValueError) as error:
         raise CheckpointError(f"{where}: invalid config value: {error}") from error
 

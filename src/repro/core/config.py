@@ -87,20 +87,10 @@ class OmniMatchConfig:
     # exhausting it raises TrainingDivergedError instead of looping forever
     lr_backoff_factor: float = 0.5  # learning-rate multiplier applied on each
     # rollback; the reduced rate persists for the rest of the run
-    divergence_kernel_fallback: bool = True  # retry a rolled-back epoch on the
-    # reference (non-fast-math) kernels before returning to the fused path —
-    # graceful degradation when float32 fast math itself is the culprit
 
-    # --- numerics / fast path
+    # --- numerics
     dtype: str = "float32"  # compute dtype for model + training; 'float64'
     # recovers the seed numerics (and is what gradcheck uses)
-    legacy_path: bool = False  # True restores the unfused per-sample
-    # reference path — the baseline side of benchmarks/test_throughput.py
-    graph_opt: bool = True  # tape-level graph optimizer (repro.nn.graph):
-    # automatic chain fusion + arena buffer reuse; bit-identical to the
-    # unfused tape, so it defaults on whenever the fast path is active
-    # (ignored under legacy_path, and suspended with fast math during
-    # divergence kernel-fallback epochs)
 
     def __post_init__(self) -> None:
         if self.dtype not in ("float32", "float64"):

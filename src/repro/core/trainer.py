@@ -14,25 +14,24 @@ Training data are the *target-domain* interactions of the training
   §4.1 describes, and the largest degradation in Table 5.
 * the item document and the rating class label.
 
-Batch assembly runs on the vectorized fast path by default: documents live
-in the :class:`DocumentMatrices` int32 tensors, per-interaction slot arrays
-are built once per ``fit``, and each batch is a fancy-index gather with the
-aux/dropout mixing decided by one vectorized RNG draw per batch. The draw
-order matches the per-sample legacy path exactly (one double per sample, in
-order), so both paths make identical augmentation choices from the same
-seed. ``config.legacy_path`` restores the per-sample loop and unfused
-kernels — the baseline side of ``benchmarks/test_throughput.py``.
+Batch assembly is vectorized: documents live in the
+:class:`DocumentMatrices` int32 tensors, per-interaction slot arrays are
+built once per epoch, and each batch is a fancy-index gather with the
+aux/dropout mixing decided by one vectorized RNG draw per batch. The draws
+are one double per sample, in batch order, so the augmentation choices are
+exactly those of a per-sample loop over the same seed (the oracle in
+``tests/core/test_trainer_internals.py``).
 
-Per-module wall-clock timings are accumulated for the Table 6 reproduction;
-per-phase timings (batch assembly / forward / backward / optimizer) land in
-``trainer.perf`` for the throughput benchmark.
+Training always runs the fused kernels under the tape graph optimizer
+(:class:`repro.nn.GraphOptimizer`, installed for the duration of ``fit``).
 
 Observability
 -------------
-Each phase is timed once and the measured duration feeds both the legacy
-flat ``trainer.perf`` registry and the hierarchical ``trainer.tracer``
-(:class:`repro.obs.SpanTracer`), so their per-phase totals agree exactly.
-Batch loss / gradient norm / learning rate land in ``trainer.metrics``
+Each phase (batch assembly / forward / backward / optimizer / validation)
+is timed into the hierarchical ``trainer.tracer``
+(:class:`repro.obs.SpanTracer`); ``trainer.tracer.totals()`` gives the flat
+per-phase seconds the throughput benchmark reports. Batch loss / gradient
+norm / learning rate land in ``trainer.metrics``
 (:class:`repro.obs.MetricsRegistry`) every step. When a
 :class:`repro.obs.TelemetrySink` is attached (the ``telemetry`` constructor
 argument, or an ambient sink installed with :func:`repro.obs.use_sink`),
@@ -55,11 +54,11 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from .. import nn
-from ..data.batching import DocumentMatrices, DocumentStore, iter_batches
+from ..data.batching import DocumentMatrices, DocumentStore
 from ..data.records import CrossDomainDataset, Review
 from ..data.split import ColdStartSplit
 from ..obs import MetricsRegistry, SpanTracer, get_active_sink, use_sink
-from ..perf import PerfRegistry, throughput
+from ..perf import throughput
 from ..text import train_ppmi_svd_embeddings
 from .auxiliary import AuxiliaryReviewGenerator
 from .config import OmniMatchConfig
@@ -100,7 +99,7 @@ class HealthEvent:
     """One entry in the structured run-health log.
 
     ``kind`` is one of ``nonfinite_loss`` / ``nonfinite_grad`` (detection),
-    ``rollback`` / ``lr_backoff`` / ``kernel_fallback`` (recovery actions),
+    ``rollback`` / ``lr_backoff`` (recovery actions),
     ``checkpoint`` (a training checkpoint was written), ``resume``
     (training restarted from a checkpoint), or ``preempt`` (the
     ``stop_check`` hook requested a cooperative stop at an epoch boundary).
@@ -157,7 +156,6 @@ class OmniMatchTrainer:
         self.split = split
         self.config = config if config is not None else OmniMatchConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        self.perf = PerfRegistry()
         self.tracer = SpanTracer()
         self.metrics = MetricsRegistry()
         self.telemetry = telemetry
@@ -220,15 +218,13 @@ class OmniMatchTrainer:
     # ------------------------------------------------------------------
     @contextmanager
     def _phase(self, name: str) -> Iterator[None]:
-        """Time a phase once, feeding tracer and flat registry identically."""
+        """Time a phase into the span tracer."""
         token = self.tracer.enter(name)
         start = time.perf_counter()
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            self.tracer.exit(token, elapsed)
-            self.perf.record(name, elapsed)
+            self.tracer.exit(token, time.perf_counter() - start)
 
     def _emit(self, kind: str, **fields) -> None:
         """Send an event to the attached sink, or the ambient one, if any."""
@@ -310,61 +306,9 @@ class OmniMatchTrainer:
         items = matrices.items[item_rows]
         return source, target, items, labels
 
-    def _batch_arrays(self, batch: list[Review]) -> BatchArrays:
-        if self.config.legacy_path:
-            return self._batch_arrays_legacy(batch)
-        matrices = self._document_matrices()
-        count = len(batch)
-        user_rows = np.fromiter(
-            (matrices.user_slots[r.user_id] for r in batch), dtype=np.int64, count=count
-        )
-        item_rows = np.fromiter(
-            (matrices.item_slots[r.item_id] for r in batch), dtype=np.int64, count=count
-        )
-        labels = np.fromiter(
-            (r.rating_index for r in batch), dtype=np.int64, count=count
-        )
-        if self.config.use_auxiliary_reviews and self.config.aux_mix_prob > 0.0:
-            self._fill_aux_rows(matrices, [r.user_id for r in batch])
-        return self._mix_and_gather(matrices, user_rows, item_rows, labels)
-
-    def _batch_arrays_legacy(self, batch: list[Review]) -> BatchArrays:
-        """Per-sample reference path (the pre-vectorization implementation)."""
-        source_docs = []
-        target_docs = []
-        item_docs = []
-        labels = []
-        use_aux = (
-            self.config.use_auxiliary_reviews and self.config.aux_mix_prob > 0.0
-        )
-        empty_doc = np.zeros(self.config.doc_len, dtype=np.int64)
-        for interaction in batch:
-            source_docs.append(self.store.user_source_doc(interaction.user_id))
-            draw = self._rng.random()
-            if draw < self.config.target_dropout_prob:
-                target_docs.append(empty_doc)
-            elif use_aux and draw < self.config.target_dropout_prob + self.config.aux_mix_prob:
-                target_docs.append(self._auxiliary_doc(interaction.user_id))
-            else:
-                target_docs.append(self.store.user_target_doc(interaction.user_id))
-            item_docs.append(self.store.item_doc(interaction.item_id))
-            labels.append(interaction.rating_index)
-        return (
-            np.stack(source_docs),
-            np.stack(target_docs),
-            np.stack(item_docs),
-            np.asarray(labels, dtype=np.int64),
-        )
-
     def _epoch_batches(self, interactions: Sequence[Review]) -> Iterator[BatchArrays]:
         """Yield assembled batch arrays for one epoch, timing the assembly."""
         batch_size = self.config.batch_size
-        if self.config.legacy_path:
-            for batch in iter_batches(interactions, batch_size, self._rng):
-                with self._phase("batch_assembly"):
-                    arrays = self._batch_arrays_legacy(batch)
-                yield arrays
-            return
         with self._phase("batch_assembly"):
             matrices = self._document_matrices()
             count = len(interactions)
@@ -434,8 +378,7 @@ class OmniMatchTrainer:
         Every batch is guarded against non-finite numerics: a NaN/Inf loss
         or post-clip gradient norm rolls the run back to the start of the
         epoch, backs the learning rate off by ``config.lr_backoff_factor``,
-        and (optionally) retries the epoch on the reference kernels; the
-        retry budget is ``config.max_divergence_retries``, after which
+        and retries the epoch; the retry budget is ``config.max_divergence_retries``, after which
         :class:`TrainingDivergedError` is raised. Every detection and
         recovery action lands in ``TrainResult.health``.
 
@@ -567,7 +510,6 @@ class OmniMatchTrainer:
             batch_size=self.config.batch_size,
             dtype=self.config.dtype,
             optimizer=self.config.optimizer,
-            legacy_path=self.config.legacy_path,
             rng=self._rng_checksum(),
         )
         # The divergence retry budget is training state: a resumed run must
@@ -577,14 +519,8 @@ class OmniMatchTrainer:
         # checkpointed health log, so no checkpoint-format change is needed.
         spent_retries = sum(1 for event in health if event.kind == "rollback")
         retries_left = max(0, self.config.max_divergence_retries - spent_retries)
-        fallback_next = False
         self.model.train()
-        previous_fast = nn.set_fast_math(not self.config.legacy_path)
-        previous_graph = nn.set_graph_optimizer(
-            nn.GraphOptimizer()
-            if self.config.graph_opt and not self.config.legacy_path
-            else None
-        )
+        previous_graph = nn.set_graph_optimizer(nn.GraphOptimizer())
         status = "aborted"
         try:
             epoch = start_epoch
@@ -592,33 +528,14 @@ class OmniMatchTrainer:
                 if self.config.early_stopping and stale >= self.config.patience:
                     break
                 snapshot = self._capture_state(optimizer)
-                use_fallback = fallback_next
-                fallback_next = False
-                if use_fallback:
-                    self._note_health(health, HealthEvent(
-                        epoch=epoch, kind="kernel_fallback",
-                        detail="retrying epoch on reference (non-fast-math) kernels",
-                    ))
                 alloc_before = (
                     nn.tensor_stats() if nn.tensor_stats_enabled() else None
                 )
                 try:
-                    # A fallback epoch retries on the reference kernels with
-                    # the graph optimizer suspended too: the point is to rule
-                    # out the whole fast path, fusion and arena included.
-                    was_fast = nn.set_fast_math(False) if use_fallback else None
-                    was_graph = (
-                        nn.set_graph_optimizer(None) if use_fallback else None
-                    )
-                    try:
-                        with self.tracer.span("epoch"):
-                            stats = self._run_epoch(
-                                epoch, interactions, optimizer, fault_injector
-                            )
-                    finally:
-                        if use_fallback:
-                            nn.set_fast_math(was_fast)
-                            nn.set_graph_optimizer(was_graph)
+                    with self.tracer.span("epoch"):
+                        stats = self._run_epoch(
+                            epoch, interactions, optimizer, fault_injector
+                        )
                 except _DivergenceDetected as detected:
                     self._note_health(health, HealthEvent(
                         epoch=epoch, kind=detected.kind, batch=detected.batch,
@@ -642,10 +559,6 @@ class OmniMatchTrainer:
                         epoch=epoch, kind="lr_backoff", value=optimizer.lr,
                         detail=f"learning rate scaled by {self.config.lr_backoff_factor}",
                     ))
-                    fallback_next = (
-                        self.config.divergence_kernel_fallback
-                        and not self.config.legacy_path
-                    )
                     continue  # retry the same epoch from the snapshot
                 want_valid = self.config.early_stopping or (
                     validate_every and epoch % validate_every == 0
@@ -750,7 +663,6 @@ class OmniMatchTrainer:
             status = "diverged"
             raise
         finally:
-            nn.set_fast_math(previous_fast)
             nn.set_graph_optimizer(previous_graph)
             self._finish_run(status, history)
         if best_state is not None:
@@ -835,9 +747,6 @@ class OmniMatchTrainer:
             "span_summary",
             totals=self.tracer.totals(),
             spans=self.tracer.summary(),
-            perf={
-                name: entry["seconds"] for name, entry in self.perf.summary().items()
-            },
         )
         self._emit("metrics_summary", **summary)
         self._emit("run_end", status=status, epochs_trained=len(history))

@@ -6,15 +6,7 @@ the small slice of PyTorch the paper's implementation relies on.
 """
 
 from .attention import MultiHeadSelfAttention, TransformerEncoder, TransformerEncoderLayer
-from .conv import (
-    TextConv,
-    clear_conv_workspace,
-    conv1d_text,
-    conv_bank_pool,
-    max_mean_pool,
-    max_over_time,
-    mean_over_time,
-)
+from .conv import TextConv, clear_conv_workspace, conv_bank_pool
 from .graph import (
     Arena,
     GraphOptimizer,
@@ -42,13 +34,11 @@ from .tensor import (
     as_tensor,
     concat,
     default_dtype,
-    fast_math_enabled,
     get_default_dtype,
     is_grad_enabled,
     no_grad,
     reset_tensor_stats,
     set_default_dtype,
-    set_fast_math,
     set_tensor_stats,
     stack,
     tensor_stats,
@@ -67,8 +57,6 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype",
-    "set_fast_math",
-    "fast_math_enabled",
     "set_tensor_stats",
     "tensor_stats_enabled",
     "tensor_stats",
@@ -82,7 +70,6 @@ __all__ = [
     "tape_size",
     "clear_conv_workspace",
     "conv_bank_pool",
-    "max_mean_pool",
     "softmax_cross_entropy",
     "Module",
     "Parameter",
@@ -95,9 +82,6 @@ __all__ = [
     "LayerNorm",
     "MLP",
     "TextConv",
-    "conv1d_text",
-    "max_over_time",
-    "mean_over_time",
     "MultiHeadSelfAttention",
     "TransformerEncoder",
     "TransformerEncoderLayer",

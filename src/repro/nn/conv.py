@@ -1,13 +1,15 @@
-"""1-D text convolution and max-over-time pooling.
+"""1-D text convolution bank with max/mean-over-time pooling.
 
 OmniMatch's Feature Extraction Module (paper §4.2, Eq. 4–7) applies a bank
 of 1-D convolutions with kernel sizes (3, 4, 5) over the word-embedding
 matrix of a review document, followed by ReLU and max-over-time pooling.
 
-The convolution is implemented with a hand-written backward pass (rather
-than being composed from primitive ops) because the im2col expansion is the
-hot loop of training; the vectorized ``tensordot`` formulation below is
-~50x faster than a per-window composition of autograd primitives.
+The whole bank — every kernel size, the ReLU and the pooling — is one tape
+node (:func:`conv_bank_pool`) with a hand-written backward, because the
+im2col expansion is the hot loop of training. The per-kernel composition it
+replaces (a convolution node, a ReLU, a tie-splitting max, a weighted mean
+and a concat per kernel size) lives on in ``tests/nn/reference.py`` as the
+oracle the bank is checked against.
 """
 
 from __future__ import annotations
@@ -18,19 +20,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import init
 from . import tensor as _tensor
 from .module import Module, Parameter
-from .tensor import Tensor, _matmul_grad, concat, fast_math_enabled
+from .tensor import Tensor, _matmul_grad
 
 __all__ = [
-    "conv1d_text",
     "conv_bank_pool",
-    "max_over_time",
-    "max_mean_pool",
     "TextConv",
     "clear_conv_workspace",
 ]
 
 #: Rotating pools of reusable im2col workspaces keyed by
-#: (batch, t_out, kernel, embed, dtype). Each conv1d_text forward acquires
+#: (batch, t_out, kernel, embed, dtype). Each conv_bank_pool forward acquires
 #: the pool's next buffer, copies its sliding windows in, and runs a single
 #: contiguous GEMM — eliminating the dominant allocation of the hot loop.
 #: Every acquisition stamps the buffer (``_BUF_STAMPS``); a backward pass
@@ -101,109 +100,6 @@ def _im2col(x_data: np.ndarray, kernel_size: int) -> tuple[np.ndarray, np.ndarra
     return buf.reshape(batch * t_out, kernel_size * embed_dim), buf, stamp
 
 
-def conv1d_text(
-    x: Tensor, weight: Tensor, bias: Tensor | None = None, relu: bool = False
-) -> Tensor:
-    """Valid 1-D convolution over the sequence axis of a token-embedding batch.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(batch, seq_len, embed_dim)``.
-    weight:
-        Kernels of shape ``(num_filters, kernel_size, embed_dim)``.
-    bias:
-        Optional per-filter bias of shape ``(num_filters,)``.
-    relu:
-        Fuse a ReLU into the node (one in-place clamp instead of a separate
-        tape node; the backward masks the incoming gradient by ``out > 0``).
-
-    Returns
-    -------
-    Tensor of shape ``(batch, seq_len - kernel_size + 1, num_filters)``.
-
-    Two equivalent implementations back this op. The fast path (default,
-    see :func:`repro.nn.set_fast_math`) lowers the convolution to a single
-    GEMM over a reused im2col workspace; the legacy path composes
-    ``tensordot`` over the strided window view. Both share the hand-written
-    backward.
-    """
-    batch, seq_len, embed_dim = x.data.shape
-    num_filters, kernel_size, w_embed = weight.data.shape
-    if w_embed != embed_dim:
-        raise ValueError(f"embedding dim mismatch: input {embed_dim}, weight {w_embed}")
-    if kernel_size > seq_len:
-        raise ValueError(f"kernel size {kernel_size} exceeds sequence length {seq_len}")
-
-    t_out = seq_len - kernel_size + 1
-    fast = fast_math_enabled()
-    served = False
-    if fast:
-        win2d, ws_buf, ws_stamp = _im2col(x.data, kernel_size)
-        w2d = weight.data.reshape(num_filters, kernel_size * embed_dim)
-        out_data = (win2d @ w2d.T).reshape(batch, t_out, num_filters)
-        if bias is not None:
-            out_data += bias.data
-        if relu:
-            np.maximum(out_data, 0.0, out=out_data)
-    else:
-        # (batch, T, embed, kernel) -> (batch, T, kernel, embed)
-        windows = sliding_window_view(x.data, kernel_size, axis=1).transpose(0, 1, 3, 2)
-        out_data = np.tensordot(windows, weight.data, axes=([2, 3], [1, 2]))
-        if bias is not None:
-            out_data = out_data + bias.data
-        if relu:
-            out_data = np.maximum(out_data, 0.0)
-
-    def backward(grad: np.ndarray) -> None:
-        if relu:
-            grad = grad * (out_data > 0)
-        grad2d = grad.reshape(batch * t_out, num_filters) if fast else None
-        if weight.requires_grad:
-            if fast:
-                if _BUF_STAMPS.get(id(ws_buf)) == ws_stamp:
-                    # No same-shaped conv touched the buffer since our
-                    # forward; its columns are still ours.
-                    cols = ws_buf.reshape(batch * t_out, kernel_size * embed_dim)
-                else:
-                    # Clobbered — refill from the saved input, and grow the
-                    # pool so the next step keeps the live buffers apart.
-                    pool = _WORKSPACES.get(
-                        (batch, t_out, kernel_size, embed_dim, x.data.dtype)
-                    )
-                    if pool is not None and len(pool) < _MAX_POOL:
-                        pool.append(np.empty_like(pool[0]))
-                    cols, _, _ = _im2col(x.data, kernel_size)
-                grad_w, from_arena = _matmul_grad(grad2d.T, cols)
-                grad_w = grad_w.reshape(num_filters, kernel_size, embed_dim)
-                weight._accumulate(grad_w, owned=True, arena=from_arena)
-            else:
-                # (kernel, embed, filters) -> (filters, kernel, embed)
-                grad_w = np.tensordot(windows, grad, axes=([0, 1], [0, 1]))
-                weight._accumulate(grad_w.transpose(2, 0, 1))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 1)), owned=True)
-        if x.requires_grad:
-            if fast:
-                # One GEMM into (B*T_out, K*E) columns, then col2im slice-adds.
-                gcols, _ = _matmul_grad(grad2d, weight.data.reshape(num_filters, -1))
-                gcols = gcols.reshape(batch, t_out, kernel_size, embed_dim)
-                grad_x, from_arena = _zeros_scratch(x.data.shape, x.data.dtype)
-                for offset in range(kernel_size):
-                    grad_x[:, offset : offset + t_out, :] += gcols[:, :, offset, :]
-            else:
-                grad_x, from_arena = np.zeros_like(x.data), False
-                for offset in range(kernel_size):
-                    # grad (B, T, F) @ weight[:, offset, :] (F, E) -> (B, T, E)
-                    grad_x[:, offset : offset + t_out, :] += grad @ weight.data[:, offset, :]
-            x._accumulate(grad_x, owned=True, arena=from_arena)
-
-    return Tensor._make(
-        out_data, (x, weight) + ((bias,) if bias is not None else ()), backward,
-        op="conv1d_text", arena=served,
-    )
-
-
 #: Zero-initialized pad buffers for conv_bank_pool, keyed by shape+dtype.
 #: Only the first ``seq_len`` frames are ever written, so the zero tail laid
 #: down at allocation time persists across reuses.
@@ -253,8 +149,8 @@ def conv_bank_pool(
 
     The hand-written backward scatters all pooled gradients into one
     full-bank array, applies the ReLU mask once, and recovers every
-    gradient from two GEMMs. Compared to composing ``conv1d_text`` +
-    pooling per kernel this trades ~25% more GEMM FLOPs (the zero taps) for
+    gradient from two GEMMs. Compared to a per-kernel convolution +
+    pooling composition this trades ~25% more GEMM FLOPs (the zero taps) for
     one im2col instead of ``len(weights)``, one tape node instead of ~6,
     and strictly fewer allocations — a net win at the model's sizes
     (per-width GEMMs over column prefixes were measured ~30% slower than
@@ -431,84 +327,6 @@ def conv_bank_pool(
     return Tensor._make(out, parents, backward)
 
 
-def max_over_time(x: Tensor) -> Tensor:
-    """Max-pool over the sequence axis: ``(B, T, F) -> (B, F)`` (Eq. 6-7)."""
-    return x.max(axis=1)
-
-
-def max_mean_pool(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
-    """Fused ``max_over_time`` ∥ ``mean_over_time``: ``(B, T, F) -> (B, 2F)``.
-
-    One tape node producing ``concat([max, mean], axis=1)`` for the
-    ``max_mean`` pooling mode: the backward scatters both pooled gradients
-    into a single full-shape array, so the feature map accumulates one
-    gradient instead of two (and skips the intermediate concat node).
-    Values and gradients match the composed formulation exactly.
-    """
-    data = x.data
-    winners = np.expand_dims(np.argmax(data, axis=1), axis=1)  # (B, 1, F)
-    max_part = np.take_along_axis(data, winners, axis=1)[:, 0, :]
-    if weights is None:
-        normalized = None
-        mean_part = data.mean(axis=1)
-    else:
-        weights = np.asarray(weights, dtype=data.dtype)
-        if weights.shape != data.shape[:2]:
-            raise ValueError(f"weights shape {weights.shape} != {data.shape[:2]}")
-        denom = np.maximum(weights.sum(axis=1, keepdims=True), 1e-9)
-        normalized = weights / denom
-        mean_part = np.einsum("btf,bt->bf", data, normalized)
-    out = np.concatenate([max_part, mean_part], axis=1)
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.asarray(grad)
-        num_filters = data.shape[2]
-        g_max, g_mean = g[:, :num_filters], g[:, num_filters:]
-        if normalized is None:
-            full = np.broadcast_to(
-                (g_mean / data.shape[1])[:, None, :], data.shape
-            ).copy()
-        else:
-            full = g_mean[:, None, :] * normalized[:, :, None]
-        vals = np.take_along_axis(full, winners, axis=1)
-        vals += g_max[:, None, :]
-        np.put_along_axis(full, winners, vals, axis=1)
-        x._accumulate(full, owned=True)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def mean_over_time(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
-    """(Weighted) mean-pool over the sequence axis: ``(B, T, F) -> (B, F)``.
-
-    ``weights`` (shape ``(B, T)``, non-negative) down-weights padded
-    windows. Max pooling keeps only feature *presence*; mean pooling keeps
-    feature *frequency* — e.g. the proportion of positive vs. negative
-    sentiment words in a review document, which encodes a user's rating
-    bias. OmniMatch's extractors use both.
-    """
-    if weights is None:
-        return x.mean(axis=1)
-    weights = np.asarray(weights, dtype=x.data.dtype)
-    if weights.shape != x.data.shape[:2]:
-        raise ValueError(f"weights shape {weights.shape} != {x.data.shape[:2]}")
-    denom = weights.sum(axis=1, keepdims=True)
-    denom = np.maximum(denom, 1e-9)
-    normalized = weights / denom
-    if fast_math_enabled():
-        # One einsum instead of a (B, T, F) broadcast-multiply temp + sum.
-        out = np.einsum("btf,bt->bf", x.data, normalized)
-
-        def backward(grad: np.ndarray) -> None:
-            x._accumulate(
-                np.asarray(grad)[:, None, :] * normalized[:, :, None], owned=True
-            )
-
-        return Tensor._make(out, (x,), backward)
-    w = Tensor(normalized[:, :, None])
-    return (x * w).sum(axis=1)
-
-
 class TextConv(Module):
     """Multi-kernel text CNN: convolve, ReLU, pool, concatenate.
 
@@ -555,19 +373,14 @@ class TextConv(Module):
         return self.num_filters * len(self.kernel_sizes) * per_pool
 
     @staticmethod
-    def _window_weights(token_mask: np.ndarray, kernel_size: int) -> np.ndarray:
-        """Fraction of non-pad tokens per convolution window: ``(B, T)``."""
-        windows = sliding_window_view(token_mask, kernel_size, axis=1)
-        return windows.mean(axis=-1)
-
-    @staticmethod
     def _window_weights_from_cumsum(cumsum: np.ndarray, kernel_size: int) -> np.ndarray:
-        """:meth:`_window_weights` from a precomputed mask cumsum.
+        """Fraction of non-pad tokens per convolution window: ``(B, T)``.
 
-        Window sums become two reads per window instead of ``kernel_size``,
-        and one cumsum is shared by every kernel size in the bank. 0/1 masks
-        keep all intermediate sums exactly representable, so this matches
-        ``_window_weights`` bit-for-bit.
+        Computed from the token mask's cumsum: two reads per window instead
+        of ``kernel_size``, and one cumsum is shared by every kernel size in
+        the bank. 0/1 masks keep all intermediate sums exactly
+        representable, so this matches the window-mean definition bit for
+        bit.
         """
         sums = cumsum[:, kernel_size - 1 :].copy()
         sums[:, 1:] -= cumsum[:, :-kernel_size]
@@ -575,37 +388,17 @@ class TextConv(Module):
         return sums
 
     def forward(self, x: Tensor, token_mask: np.ndarray | None = None) -> Tensor:
-        fast = fast_math_enabled()
-        need_weights = token_mask is not None and self.pooling in ("mean", "max_mean")
-        mask_cumsum = None
-        if fast and need_weights:
+        window_weights = None
+        if token_mask is not None and self.pooling in ("mean", "max_mean"):
             mask_cumsum = token_mask.astype(x.data.dtype).cumsum(axis=1)
-        if fast:
             window_weights = [
                 self._window_weights_from_cumsum(mask_cumsum, k)
-                if mask_cumsum is not None
-                else None
                 for k in self.kernel_sizes
             ]
-            return conv_bank_pool(
-                x,
-                [getattr(self, f"weight_k{k}") for k in self.kernel_sizes],
-                [getattr(self, f"bias_k{k}") for k in self.kernel_sizes],
-                pooling=self.pooling,
-                window_weights=window_weights,
-            )
-        pooled = []
-        for k in self.kernel_sizes:
-            weight = getattr(self, f"weight_k{k}")
-            bias = getattr(self, f"bias_k{k}")
-            feature_map = conv1d_text(x, weight, bias, relu=True)
-            weights = (
-                self._window_weights(token_mask.astype(x.data.dtype), k)
-                if need_weights
-                else None
-            )
-            if self.pooling in ("max", "max_mean"):
-                pooled.append(max_over_time(feature_map))
-            if self.pooling in ("mean", "max_mean"):
-                pooled.append(mean_over_time(feature_map, weights))
-        return concat(pooled, axis=-1)
+        return conv_bank_pool(
+            x,
+            [getattr(self, f"weight_k{k}") for k in self.kernel_sizes],
+            [getattr(self, f"bias_k{k}") for k in self.kernel_sizes],
+            pooling=self.pooling,
+            window_weights=window_weights,
+        )

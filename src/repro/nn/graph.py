@@ -1,11 +1,11 @@
 """Tape-level graph optimizer: automatic kernel fusion + arena buffer reuse.
 
-PR 1's fast path is built from hand-written fused kernels behind
-``set_fast_math`` — every new fusion is bespoke work, and models that do not
-route through those kernels (the BERT-ablation transformer extractor, the
-neural baselines' custom towers) never benefit. This module makes *every*
-workload fast by default with two orthogonal passes over the autograd tape
-recorded by :mod:`repro.nn.tensor`:
+The hand-written fused kernels (``softmax_cross_entropy``, ``linear_relu``,
+``conv_bank_pool``) are bespoke work each, and models that do not route
+through them (the BERT-ablation transformer extractor, the neural
+baselines' custom towers) never benefit. This module makes *every* workload
+fast with two orthogonal passes over the autograd tape recorded by
+:mod:`repro.nn.tensor`:
 
 **Fusion (chain absorption).** Every tape node carries a lightweight IR —
 its op name (``_op``), consumer count (``_users``), fusion depth
@@ -26,12 +26,13 @@ rule with zero per-kernel code:
 
 * ``linear -> relu``: ``x @ W.T + b`` followed by ``relu`` becomes one tape
   node (transpose, matmul, add all absorbed);
-* ``conv1d -> relu -> max-pool``: the single-GEMM ``conv1d_text`` node plus
-  ``max_over_time`` become one node;
-* ``softmax -> nll``: the composed ``log_softmax -> one-hot mul -> sum ->
-  mean`` chain of ``cross_entropy`` (and the ``supcon_loss`` variant)
-  collapses to a single fused node, mirroring the hand-written
-  ``softmax_cross_entropy`` kernel's shape;
+* ``conv1d -> relu -> max-pool``: a convolution node plus its max over
+  time become one node;
+* ``softmax -> nll``: a composed ``log_softmax -> one-hot mul -> sum ->
+  mean`` chain (``supcon_loss``'s log-softmax, or the composed
+  cross-entropy oracle in ``tests/nn/reference.py``) collapses to a single
+  fused node, mirroring the hand-written ``softmax_cross_entropy`` kernel's
+  shape;
 * arbitrary elementwise chains (``exp``/``log``/``sqrt``/scalar arithmetic).
 
 If an absorbed node later gains a second consumer (e.g. a residual
@@ -58,9 +59,9 @@ because buffers only ever receive full ``out=``/``copyto`` writes.
 Both passes are driven by the ``REPRO_TENSOR_STATS`` counters
 (``arena_hits``/``arena_misses``, ``graph_bytes``/``backward_bytes``/
 ``peak_bytes``, ``fused_ops``) and engaged via
-:func:`set_graph_optimizer` / ``OmniMatchConfig.graph_opt`` (default on for
-fast-math runs) or the :func:`graph_scope` context manager used by the
-baseline ``fit`` loops.
+:func:`set_graph_optimizer` (``OmniMatchTrainer.fit`` installs one for
+every run) or the :func:`graph_scope` context manager used by the baseline
+``fit`` loops.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, fast_math_enabled, get_default_dtype
+from .tensor import Tensor, get_default_dtype
 
 __all__ = ["Linear", "Embedding", "Dropout", "ReLU", "Tanh", "MLP", "LayerNorm"]
 
@@ -163,10 +163,9 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         last = len(self.linears) - 1
-        fused = fast_math_enabled()
         for index, linear in enumerate(self.linears):
             if index < last or self.final_activation:
-                if fused and x.data.ndim == 2:
+                if x.data.ndim == 2:
                     x = F.linear_relu(x, linear.weight, linear.bias)
                 else:
                     x = F.relu(linear(x))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import functional as F
 from .module import Module
-from .tensor import Tensor, fast_math_enabled
+from .tensor import Tensor
 
 __all__ = [
     "MSELoss",
@@ -77,16 +77,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer ``labels`` under ``logits``.
 
     ``logits`` has shape ``(batch, num_classes)``; ``labels`` shape ``(batch,)``.
-    Dispatches to the fused :func:`softmax_cross_entropy` kernel unless fast
-    math is disabled (see :func:`repro.nn.set_fast_math`).
+    Runs the fused :func:`softmax_cross_entropy` kernel.
     """
-    if fast_math_enabled():
-        return softmax_cross_entropy(logits, labels)
-    labels = _check_logits_labels(logits, labels)
-    log_probs = F.log_softmax(logits, axis=-1)
-    one_hot = F.one_hot(labels, logits.data.shape[1], dtype=logits.data.dtype)
-    picked = (log_probs * Tensor(one_hot)).sum(axis=-1)
-    return -picked.mean()
+    return softmax_cross_entropy(logits, labels)
 
 
 def supcon_loss(features: Tensor, labels: np.ndarray, temperature: float = 0.07) -> Tensor:

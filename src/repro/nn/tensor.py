@@ -42,8 +42,6 @@ __all__ = [
     "set_default_dtype",
     "get_default_dtype",
     "default_dtype",
-    "set_fast_math",
-    "fast_math_enabled",
     "set_tensor_stats",
     "tensor_stats_enabled",
     "tensor_stats",
@@ -54,8 +52,6 @@ _GRAD_ENABLED = True
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _DEFAULT_DTYPE = np.dtype(np.float64)
-
-_FAST_MATH = True
 
 
 def set_default_dtype(dtype: "str | np.dtype | type") -> np.dtype:
@@ -91,27 +87,6 @@ class default_dtype:
 
     def __exit__(self, *exc_info: object) -> None:
         set_default_dtype(self._previous)
-
-
-def set_fast_math(enabled: bool) -> bool:
-    """Toggle the fused-kernel fast path; returns the previous setting.
-
-    With fast math on (the default), ``cross_entropy`` uses the fused
-    softmax-cross-entropy kernel, ``MLP`` hidden layers use the fused
-    ``linear_relu`` kernel, and ``conv1d_text`` uses the buffer-reusing
-    im2col path. Turning it off restores the op-by-op compositions — the
-    seed implementation — which the throughput benchmark uses as its
-    ``legacy`` baseline and the gradcheck suite uses for cross-validation.
-    """
-    global _FAST_MATH
-    previous = _FAST_MATH
-    _FAST_MATH = bool(enabled)
-    return previous
-
-
-def fast_math_enabled() -> bool:
-    """Whether fused kernels are active (see :func:`set_fast_math`)."""
-    return _FAST_MATH
 
 
 # Lightweight allocation / FLOP accounting, off by default. Enabled either
@@ -479,13 +454,10 @@ class Tensor:
             # and will not touch it again, so the defensive copy that keeps
             # ``self.grad`` independent of caller-held buffers can be
             # skipped — backwards on the hot path hand over arrays they
-            # just built (GEMM outputs, zeros+scatter results). Honored
-            # only in fast-math mode: the reference path keeps the
-            # copy-always tape semantics it has always had, which is also
-            # what the benchmark's legacy baseline measures.
+            # just built (GEMM outputs, zeros+scatter results).
             # ``arena=True`` additionally marks ``grad`` as served from the
             # graph arena, so it is not counted as a fresh allocation.
-            if owned and _FAST_MATH:
+            if owned:
                 self.grad = grad
                 if _TENSOR_STATS_ENABLED and not arena:
                     _TENSOR_STATS["backward_bytes"] += grad.nbytes
@@ -758,46 +730,30 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``.
 
-        Fast-math mode routes the whole gradient to the argmax (one
-        index-scatter in backward, nothing precomputed in forward); the
-        reference mode splits the gradient equally among ties. Both are
-        valid subgradients and identical whenever the max is unique.
+        The whole gradient routes to the first argmax (one index-scatter in
+        backward, nothing precomputed in forward) — a valid subgradient
+        that equals the tie-splitting one whenever the max is unique.
         """
-        if _FAST_MATH:
-            winners = np.expand_dims(np.argmax(self.data, axis=axis), axis=axis)
-            out_data = np.take_along_axis(self.data, winners, axis=axis)
-            if not keepdims:
-                out_data = np.squeeze(out_data, axis=axis)
-
-            def backward(grad: np.ndarray) -> None:
-                g = np.asarray(grad)
-                if not keepdims:
-                    g = np.expand_dims(g, axis=axis)
-                full = None
-                from_arena = False
-                if _GRAPH is not None and self.data.nbytes >= _ARENA_MIN:
-                    full = _GRAPH.arena.request(self.data.shape, self.data.dtype)
-                if full is not None:
-                    full.fill(0)
-                    from_arena = True
-                else:
-                    full = np.zeros_like(self.data)
-                np.put_along_axis(full, winners, g, axis=axis)
-                self._accumulate(full, owned=True, arena=from_arena)
-
-            return Tensor._make(out_data, (self,), backward, op="max")
-
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
-        mask = self.data == expanded
-        # Split gradient among ties so the total gradient is conserved.
-        counts = mask.sum(axis=axis, keepdims=True)
+        winners = np.expand_dims(np.argmax(self.data, axis=axis), axis=axis)
+        out_data = np.take_along_axis(self.data, winners, axis=axis)
+        if not keepdims:
+            out_data = np.squeeze(out_data, axis=axis)
 
         def backward(grad: np.ndarray) -> None:
             g = np.asarray(grad)
             if not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(mask * g / counts, owned=True)
+            full = None
+            from_arena = False
+            if _GRAPH is not None and self.data.nbytes >= _ARENA_MIN:
+                full = _GRAPH.arena.request(self.data.shape, self.data.dtype)
+            if full is not None:
+                full.fill(0)
+                from_arena = True
+            else:
+                full = np.zeros_like(self.data)
+            np.put_along_axis(full, winners, g, axis=axis)
+            self._accumulate(full, owned=True, arena=from_arena)
 
         return Tensor._make(out_data, (self,), backward, op="max")
 

@@ -6,7 +6,7 @@ Four pieces, composable but separable:
   training hot path (batch loss, grad norm, learning rate, samples/s,
   RNG-stream checksums);
 * :class:`SpanTracer` — hierarchical wall-clock spans with inclusive and
-  exclusive time, subsuming the flat ``repro.perf.PerfRegistry``;
+  exclusive time, plus flat per-name totals;
 * :class:`TelemetrySink` — one run's append-only ``run.jsonl`` event
   stream (crash-tolerant line appends, size-based rotation), with an
   ambient active-sink stack (:func:`use_sink` / :func:`emit_event`) so

@@ -1,20 +1,18 @@
 """Hierarchical tracing spans: nested wall-clock with exclusive time.
 
-:class:`SpanTracer` subsumes the flat ``repro.perf.PerfRegistry``: where the
-registry keeps one ``(seconds, calls)`` pair per name, the tracer keeps a
-*tree* keyed by the span path (e.g. ``epoch/forward``), so a run summary can
-show both how long each phase took in total and where inside the run it was
-spent. Exclusive time — a span's inclusive wall-clock minus its children's —
-is derived at summary time, which keeps the enter/exit hot path to a couple
-of dict operations.
+:class:`SpanTracer` keeps a *tree* keyed by the span path (e.g.
+``epoch/forward``), so a run summary can show both how long each phase took
+in total (:meth:`SpanTracer.totals`, one flat ``seconds`` per name) and
+where inside the run it was spent. Exclusive time — a span's inclusive
+wall-clock minus its children's — is derived at summary time, which keeps
+the enter/exit hot path to a couple of dict operations.
 
-Re-entrant spans are handled the way the fixed ``PerfRegistry.section`` is:
-per-name totals accumulate only at nesting depth 0, so ``span("forward")``
-inside ``span("forward")`` never double-counts the same wall-clock.
+Re-entrant spans: per-name totals accumulate only at nesting depth 0, so
+``span("forward")`` inside ``span("forward")`` never double-counts the same
+wall-clock.
 
-The trainer times each phase once and feeds the *same* measured duration to
-both the tracer (:meth:`SpanTracer.enter` / :meth:`SpanTracer.exit`) and the
-legacy registry, so their per-phase totals agree exactly.
+The trainer times each phase once and hands the measured duration to
+:meth:`SpanTracer.exit` (via :meth:`SpanTracer.enter`'s token).
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ class SpanTracer:
     # Summaries
     # ------------------------------------------------------------------
     def totals(self) -> dict[str, float]:
-        """Per-name wall-clock totals, depth-0 only (PerfRegistry-comparable)."""
+        """Per-name wall-clock totals, depth-0 only (flat, not per path)."""
         return dict(self._totals)
 
     def call_counts(self) -> dict[str, int]:

@@ -199,16 +199,14 @@ def _pool_worker_main(
     cancel_cell,
     telemetry_dir,
     default_dtype: str,
-    fast_math: bool,
     kill_plan: "WorkerKillPlan | None",
 ) -> None:
     """Worker loop: pull payloads until the ``None`` sentinel arrives."""
-    from ..nn.tensor import set_default_dtype, set_fast_math
+    from ..nn.tensor import set_default_dtype
 
-    # Mirror the parent's numeric configuration: a parent that toggled
-    # flags after import would otherwise silently diverge from a serial run.
+    # Mirror the parent's default dtype: a parent that changed it after
+    # import would otherwise silently diverge from a serial run.
     set_default_dtype(default_dtype)
-    set_fast_math(fast_math)
 
     runner = _Runner(
         worker_id, generation, telemetry_dir,
@@ -377,14 +375,13 @@ class TaskPool:
     # -- worker mode ----------------------------------------------------
     def _worker_args(self, slot: int, generation: int, task_queue) -> tuple:
         """Each generation gets a fresh cancel cell (and queue, from the
-        supervisor) and the parent's numeric configuration as of its spawn."""
-        from ..nn.tensor import fast_math_enabled, get_default_dtype
+        supervisor) and the parent's default dtype as of its spawn."""
+        from ..nn.tensor import get_default_dtype
 
         cell = self._cancel_cells[slot] = self._supervisor.ctx.Value("q", _NO_CANCEL)
         return (
             slot, generation, task_queue, self._result_queue, cell,
-            self.telemetry_dir, str(get_default_dtype()), fast_math_enabled(),
-            self.kill_plan,
+            self.telemetry_dir, str(get_default_dtype()), self.kill_plan,
         )
 
     def _handle(self, message) -> None:

@@ -1,82 +1,19 @@
-"""Per-phase timing hooks and throughput reporting.
+"""Throughput arithmetic and benchmark report writing.
 
-The trainer wraps each phase of its hot loop — batch assembly, forward,
-backward, optimizer step — in :meth:`PerfRegistry.section`, accumulating
-wall-clock per phase. The throughput benchmark
-(``benchmarks/test_throughput.py``) reads these to decompose epoch time and
-writes ``BENCH_throughput.json`` so every future PR has a perf trajectory
-to regress against; the Table 6 reproduction keeps using the per-epoch
-totals the same registry feeds.
-
-The registry costs two ``perf_counter`` calls per section — negligible next
-to a single batch's GEMMs — so it is always on in the trainer.
-
-For hierarchical traces (nested spans, exclusive time, telemetry export)
-see :class:`repro.obs.SpanTracer`, which subsumes this flat registry; the
-trainer feeds both from one measurement so their totals always agree.
+The benchmarks under ``benchmarks/`` turn measured wall-clock into
+samples (or pairs) per second with :func:`throughput` and write their
+``BENCH_*.json`` reports with :func:`write_report`, so every change has a
+perf trajectory to regress against. Per-phase training time (batch assembly,
+forward, backward, optimizer step) comes from the trainer's
+:class:`repro.obs.SpanTracer` (``trainer.tracer.totals()``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
-__all__ = ["PerfRegistry", "throughput", "write_report"]
-
-
-class PerfRegistry:
-    """Accumulates ``{section name: (seconds, calls)}`` wall-clock totals."""
-
-    def __init__(self) -> None:
-        self._seconds: dict[str, float] = {}
-        self._calls: dict[str, int] = {}
-        self._depth: dict[str, int] = {}
-
-    @contextmanager
-    def section(self, name: str) -> Iterator[None]:
-        """Time the enclosed block under ``name`` (re-entrant per name).
-
-        Nested sections of the *same* name accumulate wall-clock only at
-        the outermost level — the inner block's time is already inside the
-        outer measurement, so adding it again would double-count. Calls
-        are still counted per entry.
-        """
-        depth = self._depth.get(name, 0)
-        self._depth[name] = depth + 1
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._depth[name] = depth
-            self._calls[name] = self._calls.get(name, 0) + 1
-            if depth == 0:
-                self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-
-    def record(self, name: str, seconds: float) -> None:
-        """Add an externally-measured duration under ``name``."""
-        self._seconds[name] = self._seconds.get(name, 0.0) + float(seconds)
-        self._calls[name] = self._calls.get(name, 0) + 1
-
-    def seconds(self, name: str) -> float:
-        """Total seconds accumulated under ``name`` (0.0 when never hit)."""
-        return self._seconds.get(name, 0.0)
-
-    def summary(self) -> dict[str, dict[str, float]]:
-        """``{name: {"seconds": ..., "calls": ...}}`` for every section."""
-        return {
-            name: {"seconds": self._seconds[name], "calls": self._calls[name]}
-            for name in self._seconds
-        }
-
-    def reset(self) -> None:
-        """Clear all accumulated totals."""
-        self._seconds.clear()
-        self._calls.clear()
-        self._depth.clear()
+__all__ = ["throughput", "write_report"]
 
 
 def throughput(samples: int, seconds: float) -> float:

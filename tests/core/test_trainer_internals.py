@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OmniMatchConfig, OmniMatchTrainer
-from repro.data import GeneratorConfig, cold_start_split, generate_domain_pair
+from repro.data import GeneratorConfig, cold_start_split, generate_domain_pair, iter_batches
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +28,64 @@ def make_trainer(world, **overrides):
     return OmniMatchTrainer(dataset, split, OmniMatchConfig(**base))
 
 
+def reference_epoch(trainer, interactions):
+    """Per-sample batch assembly: the oracle for ``_epoch_batches``.
+
+    Replays the trainer's RNG stream on a copy — one shuffle per epoch, then
+    one double per sample in batch order — and builds every row from the
+    document store one interaction at a time. Returns the list of
+    ``(batch interactions, (source, target, items, labels))`` and the RNG
+    state after the epoch.
+    """
+    config, store = trainer.config, trainer.store
+    rng = np.random.default_rng()
+    rng.bit_generator.state = trainer._rng.bit_generator.state
+    use_aux = config.use_auxiliary_reviews and config.aux_mix_prob > 0.0
+    empty_doc = np.zeros(config.doc_len, dtype=np.int64)
+    epoch = []
+    for batch in iter_batches(interactions, config.batch_size, rng):
+        source, target, items, labels = [], [], [], []
+        for interaction in batch:
+            source.append(store.user_source_doc(interaction.user_id))
+            draw = rng.random()
+            if draw < config.target_dropout_prob:
+                target.append(empty_doc)
+            elif use_aux and draw < config.target_dropout_prob + config.aux_mix_prob:
+                target.append(trainer._auxiliary_doc(interaction.user_id))
+            else:
+                target.append(store.user_target_doc(interaction.user_id))
+            items.append(store.item_doc(interaction.item_id))
+            labels.append(interaction.rating_index)
+        arrays = (np.stack(source), np.stack(target), np.stack(items),
+                  np.asarray(labels, dtype=np.int64))
+        epoch.append((batch, arrays))
+    return epoch, rng.bit_generator.state
+
+
+def assembled_epoch(trainer, interactions):
+    """What ``_epoch_batches`` yields, checked against the oracle.
+
+    Returns ``(batch interactions, arrays)`` per batch, where the
+    interactions come from the oracle's replay of the shuffle.
+    """
+    expected, rng_after = reference_epoch(trainer, interactions)
+    actual = list(trainer._epoch_batches(interactions))
+    assert len(actual) == len(expected)
+    for arrays, (_, oracle) in zip(actual, expected):
+        assert len(arrays) == len(oracle)
+        for array, oracle_array in zip(arrays, oracle):
+            np.testing.assert_array_equal(array, oracle_array)
+    assert trainer._rng.bit_generator.state == rng_after
+    return [(batch, arrays) for arrays, (batch, _) in zip(actual, expected)]
+
+
 class TestBatchArrays:
     def test_shapes_aligned(self, world):
         dataset, split = world
         trainer = make_trainer(world)
-        batch = split.train_interactions(dataset)[:10]
-        src, tgt, item, labels = trainer._batch_arrays(batch)
+        [(_, (src, tgt, item, labels))] = assembled_epoch(
+            trainer, split.train_interactions(dataset)[:10]
+        )
         assert src.shape == tgt.shape == item.shape == (10, 24)
         assert labels.shape == (10,)
         assert labels.dtype == np.int64
@@ -41,22 +93,25 @@ class TestBatchArrays:
     def test_labels_zero_based(self, world):
         dataset, split = world
         trainer = make_trainer(world)
-        batch = split.train_interactions(dataset)[:50]
-        _, _, _, labels = trainer._batch_arrays(batch)
+        [(_, (_, _, _, labels))] = assembled_epoch(
+            trainer, split.train_interactions(dataset)[:50]
+        )
         assert labels.min() >= 0 and labels.max() <= 4
 
     def test_target_dropout_produces_empty_docs(self, world):
         dataset, split = world
         trainer = make_trainer(world, target_dropout_prob=1.0, aux_mix_prob=0.0)
-        batch = split.train_interactions(dataset)[:10]
-        _, tgt, _, _ = trainer._batch_arrays(batch)
+        [(_, (_, tgt, _, _))] = assembled_epoch(
+            trainer, split.train_interactions(dataset)[:10]
+        )
         np.testing.assert_allclose(tgt, 0)
 
     def test_full_aux_mix_uses_auxiliary_docs(self, world):
         dataset, split = world
         trainer = make_trainer(world, target_dropout_prob=0.0, aux_mix_prob=1.0)
-        batch = split.train_interactions(dataset)[:10]
-        _, tgt, _, _ = trainer._batch_arrays(batch)
+        [(batch, (_, tgt, _, _))] = assembled_epoch(
+            trainer, split.train_interactions(dataset)[:10]
+        )
         for interaction, doc in zip(batch, tgt):
             expected = trainer._auxiliary_doc(interaction.user_id)
             np.testing.assert_array_equal(doc, expected)
@@ -64,8 +119,9 @@ class TestBatchArrays:
     def test_no_augmentation_uses_real_docs(self, world):
         dataset, split = world
         trainer = make_trainer(world, target_dropout_prob=0.0, aux_mix_prob=0.0)
-        batch = split.train_interactions(dataset)[:10]
-        _, tgt, _, _ = trainer._batch_arrays(batch)
+        [(batch, (_, tgt, _, _))] = assembled_epoch(
+            trainer, split.train_interactions(dataset)[:10]
+        )
         for interaction, doc in zip(batch, tgt):
             np.testing.assert_array_equal(
                 doc, trainer.store.user_target_doc(interaction.user_id)
@@ -77,8 +133,9 @@ class TestBatchArrays:
             world, use_auxiliary_reviews=False, aux_mix_prob=1.0,
             target_dropout_prob=0.0,
         )
-        batch = split.train_interactions(dataset)[:10]
-        _, tgt, _, _ = trainer._batch_arrays(batch)
+        [(batch, (_, tgt, _, _))] = assembled_epoch(
+            trainer, split.train_interactions(dataset)[:10]
+        )
         for interaction, doc in zip(batch, tgt):
             np.testing.assert_array_equal(
                 doc, trainer.store.user_target_doc(interaction.user_id)
@@ -92,31 +149,27 @@ class TestBatchArrays:
 
 
 class TestFastPathEquivalence:
-    """The vectorized gather must reproduce the per-sample legacy path."""
+    """The vectorized gather must reproduce per-sample assembly exactly."""
 
     def test_batch_arrays_match_legacy(self, world):
+        # A full epoch at the default mixing probabilities, so source,
+        # target, auxiliary and blanked rows all occur.
         dataset, split = world
-        fast = make_trainer(world)
-        legacy = make_trainer(world, legacy_path=True)
-        batch = split.train_interactions(dataset)[:32]
-        for fast_array, legacy_array in zip(
-            fast._batch_arrays(batch), legacy._batch_arrays(batch)
-        ):
-            np.testing.assert_array_equal(fast_array, legacy_array)
+        trainer = make_trainer(world, batch_size=32)
+        interactions = split.train_interactions(dataset)
+        epoch = assembled_epoch(trainer, interactions)
+        assert len(epoch) == -(-len(interactions) // 32)
+        assert sum(len(batch) for batch, _ in epoch) == len(interactions)
 
     def test_rng_stream_matches_across_batches(self, world):
-        # Same seed, several consecutive batches: the vectorized draws must
-        # consume the RNG exactly like the per-sample scalar draws.
+        # Same seed, consecutive epochs: the vectorized draws must consume
+        # the RNG exactly like the per-sample scalar draws, so the stream
+        # stays aligned from one epoch's shuffle to the next.
         dataset, split = world
-        fast = make_trainer(world)
-        legacy = make_trainer(world, legacy_path=True)
+        trainer = make_trainer(world, batch_size=32)
         interactions = split.train_interactions(dataset)
-        for start in range(0, 96, 32):
-            batch = interactions[start : start + 32]
-            for fast_array, legacy_array in zip(
-                fast._batch_arrays(batch), legacy._batch_arrays(batch)
-            ):
-                np.testing.assert_array_equal(fast_array, legacy_array)
+        for _ in range(3):
+            assembled_epoch(trainer, interactions)
 
 
 class TestTrainEvalMode:

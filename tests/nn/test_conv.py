@@ -1,10 +1,23 @@
-"""Unit tests for the text convolution and pooling layers."""
+"""Unit tests for the text convolution bank and its reference oracles.
+
+``TestConv1dText`` and ``TestPooling`` pin the per-kernel reference
+formulation (:mod:`tests.nn.reference`) to naive loops; ``TestTextConv``
+checks the production bank against that reference.
+"""
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.nn.conv import conv1d_text, max_over_time, mean_over_time
+
+from .reference import (
+    conv1d_text,
+    conv_pool,
+    max_over_time,
+    mean_over_time,
+    text_conv,
+    window_weights,
+)
 
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -120,38 +133,51 @@ class TestTextConv:
 
     def test_window_weights_fraction(self):
         mask = np.array([[1, 1, 0, 0]], dtype=np.float64)
-        w = nn.TextConv._window_weights(mask, 2)
+        w = window_weights(mask, 2)
         np.testing.assert_allclose(w, [[1.0, 0.5, 0.0]])
 
     def test_interleaved_same_shape_convs_grads_match_legacy(self):
-        """Two same-shaped convs share a workspace pool; the second forward
-        clobbers the first's columns, forcing the stamped-buffer fallback in
-        backward. Gradients must match the legacy path regardless."""
+        """Two same-shaped banks share a workspace pool; the second forward
+        clobbers the first's columns, forcing the stamped-buffer refill in
+        backward. Gradients must match the reference regardless."""
         rng = RNG(22)
         x1 = rng.normal(size=(2, 9, 4))
         x2 = rng.normal(size=(2, 9, 4))
         w1 = rng.normal(size=(3, 3, 4))
         w2 = rng.normal(size=(3, 3, 4))
         grads = {}
-        for fast in (True, False):
-            previous = nn.set_fast_math(fast)
-            try:
-                nn.clear_conv_workspace()
-                tensors = [nn.Tensor(a.copy(), requires_grad=True) for a in (x1, x2, w1, w2)]
-                t_x1, t_x2, t_w1, t_w2 = tensors
-                out = (nn.conv1d_text(t_x1, t_w1) + nn.conv1d_text(t_x2, t_w2)).sum()
-                out.backward()
-                grads[fast] = [t.grad for t in tensors]
-            finally:
-                nn.set_fast_math(previous)
-        for fast_grad, legacy_grad in zip(grads[True], grads[False]):
+        for name, bank in (
+            ("fast", lambda x, w: nn.conv_bank_pool(x, [w], [None], pooling="max_mean")),
+            ("reference", lambda x, w: conv_pool(x, [w], [None], "max_mean")),
+        ):
+            nn.clear_conv_workspace()
+            tensors = [nn.Tensor(a.copy(), requires_grad=True) for a in (x1, x2, w1, w2)]
+            t_x1, t_x2, t_w1, t_w2 = tensors
+            out = (bank(t_x1, t_w1) + bank(t_x2, t_w2)).sum()
+            out.backward()
+            grads[name] = [t.grad for t in tensors]
+        for fast_grad, legacy_grad in zip(grads["fast"], grads["reference"]):
             np.testing.assert_allclose(fast_grad, legacy_grad, rtol=1e-9, atol=1e-11)
+
+    def test_matches_reference_composition(self):
+        conv = nn.TextConv(4, 3, (2, 3), RNG(5), pooling="max_mean")
+        data = RNG(6).normal(size=(2, 9, 4))
+        mask = RNG(7).random(size=(2, 9)) < 0.7
+        outputs = {}
+        for name, forward in (("bank", conv), ("reference", lambda x, m: text_conv(conv, x, m))):
+            conv.zero_grad()
+            x = nn.Tensor(data.copy(), requires_grad=True)
+            out = forward(x, mask)
+            out.sum().backward()
+            outputs[name] = [out.data, x.grad] + [p.grad.copy() for p in conv.parameters()]
+        for bank, ref in zip(outputs["bank"], outputs["reference"]):
+            np.testing.assert_allclose(bank, ref, rtol=1e-9, atol=1e-11)
 
     def test_window_weights_from_cumsum_matches_reference(self):
         mask = (RNG(21).random(size=(3, 11)) < 0.6).astype(np.float32)
         cumsum = mask.cumsum(axis=1)
         for k in (1, 2, 3, 5):
-            reference = nn.TextConv._window_weights(mask, k)
+            reference = window_weights(mask, k)
             fast = nn.TextConv._window_weights_from_cumsum(cumsum, k)
             np.testing.assert_array_equal(fast, reference)
 

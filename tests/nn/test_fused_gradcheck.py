@@ -1,8 +1,10 @@
 """Exhaustive gradcheck of the fused kernels and gather/reduce backwards.
 
-The fused training kernels (``softmax_cross_entropy``, ``linear_relu``, the
-im2col ``conv1d_text`` path) carry hand-written closed-form backwards; this
-file is their acceptance gate. Every check runs in float64 via
+The fused training kernels (``softmax_cross_entropy``, ``linear_relu``,
+``conv_bank_pool``, the argmax ``Tensor.max``) carry hand-written
+closed-form backwards; this file is their acceptance gate, together with
+the reference compositions in :mod:`tests.nn.reference` they are compared
+against. Every check runs in float64 via
 :func:`tests.nn.gradcheck.gradcheck`; a final class confirms the float32
 mode produces the same gradients to float32-level tolerance and that fused
 and composed formulations agree exactly on values and gradients.
@@ -14,14 +16,26 @@ import pytest
 import repro.nn as nn
 from repro.nn import functional as F
 
+from . import reference
 from .gradcheck import gradcheck
 
 
-@pytest.fixture(params=[True, False], ids=["fused", "composed"])
-def fast_math(request):
-    previous = nn.set_fast_math(request.param)
-    yield request.param
-    nn.set_fast_math(previous)
+@pytest.fixture(params=["fused", "composed"])
+def variant(request):
+    """Which formulation a two-armed test checks: the hand-written kernel
+    or its composition from autograd primitives (:mod:`tests.nn.reference`)."""
+    return request.param
+
+
+@pytest.fixture
+def conv(variant):
+    """The tensordot convolution oracle (hand-written backward, ReLU fused
+    into the node) or the same convolution composed tap by tap."""
+    return reference.conv1d_text if variant == "fused" else reference.conv1d_composed
+
+
+#: The argmax ``Tensor.max`` and the tie-splitting reference.
+TENSOR_MAX = {"fused": nn.Tensor.max, "composed": reference.tensor_max}
 
 
 def tensor(rng, shape, scale=1.0):
@@ -35,11 +49,12 @@ class TestFusedKernels:
         labels = rng.integers(0, 5, size=4)
         gradcheck(lambda t: nn.softmax_cross_entropy(t, labels), [logits])
 
-    def test_cross_entropy_dispatch(self, fast_math):
+    def test_cross_entropy_dispatch(self, variant):
         rng = np.random.default_rng(1)
         logits = tensor(rng, (4, 5))
         labels = rng.integers(0, 5, size=4)
-        gradcheck(lambda t: nn.cross_entropy(t, labels), [logits])
+        loss = nn.cross_entropy if variant == "fused" else reference.cross_entropy
+        gradcheck(lambda t: loss(t, labels), [logits])
 
     def test_linear_relu(self):
         rng = np.random.default_rng(2)
@@ -56,32 +71,32 @@ class TestFusedKernels:
         weight = nn.Tensor(np.abs(rng.normal(size=(5, 4))) + 0.1, requires_grad=True)
         gradcheck(lambda a, w: F.linear_relu(a, w), [x, weight])
 
-    def test_conv1d_text(self, fast_math):
+    def test_conv1d_text(self, conv):
         rng = np.random.default_rng(4)
         x = tensor(rng, (2, 6, 3))
         weight = tensor(rng, (4, 2, 3))
-        gradcheck(lambda a, w: nn.conv1d_text(a, w), [x, weight])
+        gradcheck(lambda a, w: conv(a, w), [x, weight])
 
-    def test_conv1d_text_with_bias(self, fast_math):
+    def test_conv1d_text_with_bias(self, conv):
         rng = np.random.default_rng(5)
         x = tensor(rng, (2, 5, 3))
         weight = tensor(rng, (3, 2, 3))
         bias = tensor(rng, (3,))
-        gradcheck(nn.conv1d_text, [x, weight, bias])
+        gradcheck(conv, [x, weight, bias])
 
-    def test_conv1d_text_fused_relu(self, fast_math):
+    def test_conv1d_text_fused_relu(self, conv):
         rng = np.random.default_rng(19)
         x = tensor(rng, (2, 5, 3))
         weight = tensor(rng, (3, 2, 3))
         bias = tensor(rng, (3,))
-        gradcheck(lambda a, w, b: nn.conv1d_text(a, w, b, relu=True), [x, weight, bias])
+        gradcheck(lambda a, w, b: conv(a, w, b, relu=True), [x, weight, bias])
 
-    def test_conv_relu_fused_matches_composed(self, fast_math):
+    def test_conv_relu_fused_matches_composed(self, conv):
         rng = np.random.default_rng(20)
         x = nn.Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
         w = nn.Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
-        fused = nn.conv1d_text(x, w, relu=True)
-        composed = nn.conv1d_text(
+        fused = conv(x, w, relu=True)
+        composed = reference.conv1d_text(
             nn.Tensor(x.data.copy(), requires_grad=True),
             nn.Tensor(w.data.copy(), requires_grad=True),
         ).relu()
@@ -107,32 +122,37 @@ class TestGatherReduceBackwards:
         index = np.array([1, 1, 3, 0])
         gradcheck(lambda t: (t[index] ** 2).sum(), [x])
 
-    def test_max_over_axis(self, fast_math):
+    def test_max_over_axis(self, variant):
         rng = np.random.default_rng(9)
         x = tensor(rng, (3, 7))
-        gradcheck(lambda t: t.max(axis=1), [x])
+        tensor_max = TENSOR_MAX[variant]
+        gradcheck(lambda t: tensor_max(t, axis=1), [x])
 
-    def test_max_keepdims(self, fast_math):
+    def test_max_keepdims(self, variant):
         rng = np.random.default_rng(10)
         x = tensor(rng, (2, 4, 3))
-        gradcheck(lambda t: t.max(axis=1, keepdims=True).tanh(), [x])
+        tensor_max = TENSOR_MAX[variant]
+        gradcheck(lambda t: tensor_max(t, axis=1, keepdims=True).tanh(), [x])
 
-    def test_mean_over_time_weighted(self, fast_math):
+    def test_mean_over_time_weighted(self, variant):
         rng = np.random.default_rng(18)
-        x = tensor(rng, (2, 5, 3))
         weights = np.abs(rng.normal(size=(2, 5))) + 0.1
-        gradcheck(lambda t: nn.mean_over_time(t, weights), [x])
-
-    def test_max_mean_pool_weighted(self):
-        rng = np.random.default_rng(21)
+        if variant == "composed":
+            x = tensor(rng, (2, 5, 3))
+            gradcheck(lambda t: reference.mean_over_time(t, weights), [x])
+            return
+        # The fused weighted mean lives inside the conv bank: a 1-tap
+        # kernel makes the feature map a per-frame projection of ``x``, and
+        # the bias keeps the ReLU away from its kink.
         x = tensor(rng, (2, 5, 3))
-        weights = np.abs(rng.normal(size=(2, 5))) + 0.1
-        gradcheck(lambda t: nn.max_mean_pool(t, weights).tanh(), [x])
-
-    def test_max_mean_pool_unweighted(self):
-        rng = np.random.default_rng(22)
-        x = tensor(rng, (2, 6, 3))
-        gradcheck(lambda t: (nn.max_mean_pool(t) ** 2).sum(), [x])
+        weight = tensor(rng, (4, 1, 3), scale=0.3)
+        bias = nn.Tensor(rng.normal(size=4) + 3.0, requires_grad=True)
+        gradcheck(
+            lambda a, w, b: nn.conv_bank_pool(
+                a, [w], [b], pooling="mean", window_weights=[weights]
+            ),
+            [x, weight, bias],
+        )
 
     def test_conv_bank_pool_gradcheck(self):
         rng = np.random.default_rng(24)
@@ -159,55 +179,27 @@ class TestGatherReduceBackwards:
             rng.normal(size=2) for _ in kernels
         ]
 
+        wts = [reference.window_weights(mask, k) for k in kernels]
+
         def bank(a, u, v, p, q):
-            wts = [nn.TextConv._window_weights(mask, k) for k in kernels]
             return nn.conv_bank_pool(
                 a, [u, v], [p, q], pooling=pooling, window_weights=wts
             )
 
         def composed(a, u, v, p, q):
-            pooled = []
-            for w, b, k in zip((u, v), (p, q), kernels):
-                fmap = nn.conv1d_text(a, w, b, relu=True)
-                if pooling in ("max", "max_mean"):
-                    pooled.append(nn.max_over_time(fmap))
-                if pooling in ("mean", "max_mean"):
-                    pooled.append(
-                        nn.mean_over_time(fmap, nn.TextConv._window_weights(mask, k))
-                    )
-            return nn.concat(pooled, axis=1)
+            return reference.conv_pool(a, [u, v], [p, q], pooling, wts)
 
-        previous = nn.set_fast_math(False)
-        try:
-            grads = {}
-            values = {}
-            for name, fn in (("bank", bank), ("composed", composed)):
-                tensors = [nn.Tensor(a.copy(), requires_grad=True) for a in arrays]
-                out = fn(*tensors)
-                values[name] = out.data
-                out.sum().backward()
-                grads[name] = [t.grad for t in tensors]
-        finally:
-            nn.set_fast_math(previous)
+        grads = {}
+        values = {}
+        for name, fn in (("bank", bank), ("composed", composed)):
+            tensors = [nn.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = fn(*tensors)
+            values[name] = out.data
+            out.sum().backward()
+            grads[name] = [t.grad for t in tensors]
         np.testing.assert_allclose(values["bank"], values["composed"], rtol=1e-9, atol=1e-12)
         for bank_grad, composed_grad in zip(grads["bank"], grads["composed"]):
             np.testing.assert_allclose(bank_grad, composed_grad, rtol=1e-8, atol=1e-11)
-
-    def test_max_mean_pool_matches_composed(self):
-        rng = np.random.default_rng(23)
-        data = rng.normal(size=(3, 7, 4))
-        weights = np.abs(rng.normal(size=(3, 7))) + 0.1
-        fused_x = nn.Tensor(data.copy(), requires_grad=True)
-        nn.max_mean_pool(fused_x, weights).sum().backward()
-        composed_x = nn.Tensor(data.copy(), requires_grad=True)
-        nn.concat(
-            [
-                nn.max_over_time(composed_x),
-                nn.mean_over_time(composed_x, weights),
-            ],
-            axis=1,
-        ).sum().backward()
-        np.testing.assert_allclose(fused_x.grad, composed_x.grad, rtol=1e-12)
 
     def test_concat(self):
         rng = np.random.default_rng(11)
@@ -232,17 +224,12 @@ class TestFusedComposedEquivalence:
         rng = np.random.default_rng(12)
         logits = rng.normal(size=(8, 5))
         labels = rng.integers(0, 5, size=8)
-        previous = nn.set_fast_math(True)
-        try:
-            fused_val, (fused_grad,) = self._grads(
-                lambda t: nn.cross_entropy(t, labels), [logits]
-            )
-            nn.set_fast_math(False)
-            composed_val, (composed_grad,) = self._grads(
-                lambda t: nn.cross_entropy(t, labels), [logits]
-            )
-        finally:
-            nn.set_fast_math(previous)
+        fused_val, (fused_grad,) = self._grads(
+            lambda t: nn.cross_entropy(t, labels), [logits]
+        )
+        composed_val, (composed_grad,) = self._grads(
+            lambda t: reference.cross_entropy(t, labels), [logits]
+        )
         np.testing.assert_allclose(fused_val, composed_val, rtol=1e-12)
         np.testing.assert_allclose(fused_grad, composed_grad, rtol=1e-10, atol=1e-12)
 
@@ -260,20 +247,18 @@ class TestFusedComposedEquivalence:
             np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
 
     def test_conv_fast_matches_legacy(self):
+        # The single-kernel bank (im2col GEMM, argmax max) against the
+        # tensordot convolution and tie-splitting max of the reference.
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 8, 4))
         w = rng.normal(size=(5, 3, 4))
-        previous = nn.set_fast_math(True)
-        try:
-            fast_val, fast_grads = self._grads(
-                lambda a, wt: nn.conv1d_text(a, wt), [x, w]
-            )
-            nn.set_fast_math(False)
-            legacy_val, legacy_grads = self._grads(
-                lambda a, wt: nn.conv1d_text(a, wt), [x, w]
-            )
-        finally:
-            nn.set_fast_math(previous)
+        fast_val, fast_grads = self._grads(
+            lambda a, wt: nn.conv_bank_pool(a, [wt], [None], pooling="max_mean"),
+            [x, w],
+        )
+        legacy_val, legacy_grads = self._grads(
+            lambda a, wt: reference.conv_pool(a, [wt], [None], "max_mean"), [x, w]
+        )
         np.testing.assert_allclose(fast_val, legacy_val, rtol=1e-10)
         for fast, legacy in zip(fast_grads, legacy_grads):
             np.testing.assert_allclose(fast, legacy, rtol=1e-9, atol=1e-11)
@@ -314,4 +299,4 @@ class TestFloat32Mode:
     def test_conv1d_text_float32(self):
         rng = np.random.default_rng(17)
         arrays = [rng.normal(size=(2, 9, 4)), rng.normal(size=(3, 4, 4))]
-        self._float32_vs_float64(lambda a, w: nn.conv1d_text(a, w), arrays)
+        self._float32_vs_float64(lambda a, w: reference.conv1d_text(a, w), arrays)

@@ -56,23 +56,16 @@ class TestTrainedRunStream:
                      "health"):
             assert kind in stats["kinds"], kind
 
-    def test_span_totals_match_perf_registry_within_1_percent(self, traced_run):
+    def test_span_summary_totals_are_the_tracer_totals(self, traced_run):
         trainer, path = traced_run
-        [span_summary] = [
-            e for e in read_events(path) if e["kind"] == "span_summary"
-        ]
-        perf = {
-            name: entry["seconds"]
-            for name, entry in trainer.perf.summary().items()
-        }
-        shared = set(span_summary["totals"]) & set(perf)
+        events = read_events(path)
+        [span_summary] = [e for e in events if e["kind"] == "span_summary"]
+        assert span_summary["totals"] == trainer.tracer.totals()
         assert {"batch_assembly", "forward", "backward",
-                "optimizer", "validation"} <= shared
-        for name in shared:
-            span_seconds = span_summary["totals"][name]
-            assert abs(span_seconds - perf[name]) <= 0.01 * max(
-                span_seconds, perf[name]
-            ), name
+                "optimizer", "validation"} <= set(span_summary["totals"])
+        assert "perf" not in span_summary
+        [run_start] = [e for e in events if e["kind"] == "run_start"]
+        assert "legacy_path" not in run_start
 
     def test_batch_events_carry_training_signal(self, traced_run):
         _, path = traced_run

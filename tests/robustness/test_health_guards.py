@@ -26,9 +26,7 @@ class TestTransientFaultRecovery:
             fault_injector=NonFiniteGradientInjector(epoch=2, batch=0),
         )
         assert [s.epoch for s in result.history] == [1, 2, 3, 4]
-        assert kinds(result) == [
-            "nonfinite_grad", "rollback", "lr_backoff", "kernel_fallback"
-        ]
+        assert kinds(result) == ["nonfinite_grad", "rollback", "lr_backoff"]
         assert all(np.isfinite(s.total) for s in result.history)
 
     def test_inf_loss_recovered_with_value_logged(self, world):
@@ -55,27 +53,6 @@ class TestTransientFaultRecovery:
         )
         backoff = next(e for e in result.health if e.kind == "lr_backoff")
         assert backoff.value == pytest.approx(config.learning_rate * 0.25)
-
-    def test_no_kernel_fallback_when_disabled(self, world):
-        config = tiny_config(divergence_kernel_fallback=False)
-        result = train_uninterrupted(
-            world, config, EPOCHS,
-            fault_injector=NonFiniteGradientInjector(epoch=2, batch=0),
-        )
-        assert [s.epoch for s in result.history] == [1, 2, 3, 4]
-        assert "kernel_fallback" not in kinds(result)
-
-    def test_no_kernel_fallback_on_legacy_path(self, world):
-        # The legacy path already runs the reference kernels — there is
-        # nothing to fall back to.
-        config = tiny_config(legacy_path=True)
-        result = train_uninterrupted(
-            world, config, EPOCHS,
-            fault_injector=NonFiniteGradientInjector(epoch=2, batch=0),
-        )
-        assert [s.epoch for s in result.history] == [1, 2, 3, 4]
-        assert "rollback" in kinds(result)
-        assert "kernel_fallback" not in kinds(result)
 
     def test_nonfinite_grad_in_later_parameter(self, world):
         config = tiny_config()

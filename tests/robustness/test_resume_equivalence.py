@@ -1,7 +1,7 @@
 """Kill-resume equivalence: a checkpointed run killed at an epoch boundary
 or mid-epoch, then resumed, must reproduce the uninterrupted run bit-for-bit
-— weights, per-epoch losses, and early-stopping behaviour — on both the
-fast and legacy trainer paths and for both optimizers."""
+— weights, per-epoch losses, and early-stopping behaviour — for both
+optimizers."""
 
 import numpy as np
 import pytest
@@ -34,15 +34,6 @@ class TestEpochBoundaryResume:
         config = tiny_config()
         baseline = train_uninterrupted(world, config, EPOCHS)
         resumed = resume_after_partial(world, config, stop_epoch, tmp_path)
-        assert_states_identical(
-            baseline.model.state_dict(), resumed.model.state_dict()
-        )
-        assert_histories_identical(baseline.history, resumed.history)
-
-    def test_legacy_path(self, world, tmp_path):
-        config = tiny_config(legacy_path=True)
-        baseline = train_uninterrupted(world, config, EPOCHS)
-        resumed = resume_after_partial(world, config, 2, tmp_path)
         assert_states_identical(
             baseline.model.state_dict(), resumed.model.state_dict()
         )
@@ -101,10 +92,8 @@ class TestEpochBoundaryResume:
 
 
 class TestMidEpochCrashResume:
-    @pytest.mark.parametrize("legacy", [False, True],
-                             ids=["fast", "legacy_path"])
-    def test_crash_injector_then_resume(self, world, tmp_path, legacy):
-        config = tiny_config(legacy_path=legacy)
+    def test_crash_injector_then_resume(self, world, tmp_path):
+        config = tiny_config()
         baseline = train_uninterrupted(world, config, EPOCHS)
         dataset, split = world
         doomed = OmniMatchTrainer(dataset, split, config)

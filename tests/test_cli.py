@@ -165,6 +165,44 @@ class TestCommands:
         assert "cli-test" in out
         assert "completed" in out
 
+    def test_report_validates_run_with_retired_fields(self, tmp_path, capsys):
+        # A run.jsonl as earlier versions wrote it: run_start names
+        # legacy_path, span_summary carries the flat perf totals, and a
+        # recovered divergence logs a kernel_fallback health event.
+        import json
+
+        events = [
+            dict(kind="run_start", seed=0, epochs=2, start_epoch=1,
+                 train_interactions=10, batch_size=4, dtype="float32",
+                 optimizer="adadelta", legacy_path=False, rng="cafe0123"),
+            dict(kind="health", epoch=1, health_kind="nonfinite_grad",
+                 batch=0, value=None, detail=""),
+            dict(kind="health", epoch=1, health_kind="rollback", batch=0,
+                 value=None, detail="restored start-of-epoch state"),
+            dict(kind="health", epoch=1, health_kind="lr_backoff", batch=None,
+                 value=0.5, detail="learning rate scaled by 0.5"),
+            dict(kind="health", epoch=1, health_kind="kernel_fallback",
+                 batch=None, value=None,
+                 detail="retrying epoch on reference (non-fast-math) kernels"),
+            dict(kind="epoch", epoch=1, seconds=0.1, samples=10,
+                 samples_per_sec=100.0, total=1.0),
+            dict(kind="span_summary", totals={"forward": 0.05},
+                 spans={"epoch/forward": {"calls": 3, "inclusive_seconds": 0.05,
+                                          "exclusive_seconds": 0.05}},
+                 perf={"forward": 0.05}),
+            dict(kind="metrics_summary", counters={}, gauges={}, histograms={}),
+            dict(kind="run_end", status="completed", epochs_trained=1),
+        ]
+        lines = [
+            json.dumps(dict(seq=seq, ts=1.0 + seq, run="old-run", **event))
+            for seq, event in enumerate(events)
+        ]
+        (tmp_path / "run.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["report", str(tmp_path), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "schema OK" in out
+        assert "kernel_fallback" in out
+
     def test_report_missing_file_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["report", str(tmp_path / "nope.jsonl")])

@@ -1,122 +1,13 @@
-"""Unit tests for the per-phase timing registry."""
+"""Unit tests for throughput arithmetic and benchmark report writing."""
 
 import json
 import os
-import time
 
 import numpy as np
 import pytest
 
 from repro.faults import SimulatedCrash
-from repro.perf import PerfRegistry, throughput, write_report
-
-
-class TestPerfRegistry:
-    def test_section_accumulates(self):
-        registry = PerfRegistry()
-        with registry.section("work"):
-            pass
-        with registry.section("work"):
-            pass
-        summary = registry.summary()
-        assert summary["work"]["calls"] == 2
-        assert summary["work"]["seconds"] >= 0.0
-
-    def test_section_records_on_exception(self):
-        registry = PerfRegistry()
-        with pytest.raises(RuntimeError):
-            with registry.section("boom"):
-                raise RuntimeError
-        assert registry.summary()["boom"]["calls"] == 1
-
-    def test_record_and_seconds(self):
-        registry = PerfRegistry()
-        registry.record("phase", 1.5)
-        registry.record("phase", 0.5)
-        assert registry.seconds("phase") == pytest.approx(2.0)
-        assert registry.seconds("missing") == 0.0
-
-    def test_reset(self):
-        registry = PerfRegistry()
-        registry.record("phase", 1.0)
-        registry.reset()
-        assert registry.summary() == {}
-
-    def test_nested_same_name_does_not_double_count(self):
-        """Re-entrant sections of one name must accumulate wall-clock once.
-
-        A recursive helper wrapped in ``section("work")`` used to add the
-        inner call's time on top of the outer measurement that already
-        contains it, inflating the phase total ~2x per nesting level.
-        """
-        registry = PerfRegistry()
-        with registry.section("work"):
-            with registry.section("work"):
-                time.sleep(0.02)
-        summary = registry.summary()
-        assert summary["work"]["calls"] == 2
-        # Double-counting would report >= 0.04s here.
-        assert summary["work"]["seconds"] < 0.035
-
-    def test_nested_same_name_survives_inner_exception(self):
-        registry = PerfRegistry()
-        with pytest.raises(ValueError):
-            with registry.section("work"):
-                with registry.section("work"):
-                    raise ValueError
-        # Depth unwound: a fresh outermost section accumulates again.
-        before = registry.seconds("work")
-        with registry.section("work"):
-            time.sleep(0.005)
-        assert registry.seconds("work") > before
-
-    def test_distinct_names_still_both_accumulate(self):
-        registry = PerfRegistry()
-        with registry.section("outer"):
-            with registry.section("inner"):
-                pass
-        assert registry.seconds("outer") >= registry.seconds("inner") >= 0.0
-        assert registry.summary()["inner"]["calls"] == 1
-
-    def test_record_then_reset_then_record(self):
-        registry = PerfRegistry()
-        registry.record("phase", 1.0)
-        registry.reset()
-        registry.record("phase", 0.25)
-        summary = registry.summary()
-        assert summary["phase"]["seconds"] == pytest.approx(0.25)
-        assert summary["phase"]["calls"] == 1
-
-    def test_record_mixes_with_section(self):
-        registry = PerfRegistry()
-        with registry.section("phase"):
-            pass
-        registry.record("phase", 1.0)
-        summary = registry.summary()
-        assert summary["phase"]["calls"] == 2
-        assert summary["phase"]["seconds"] >= 1.0
-
-    def test_trainer_populates_sections(self):
-        from repro.core import OmniMatchConfig, OmniMatchTrainer
-        from repro.data import GeneratorConfig, cold_start_split, generate_domain_pair
-
-        dataset = generate_domain_pair(
-            "books", "movies",
-            GeneratorConfig(num_users=60, num_items_per_domain=30,
-                            reviews_per_user_mean=4.0, seed=3),
-        )
-        split = cold_start_split(dataset, seed=0)
-        config = OmniMatchConfig(
-            embed_dim=12, num_filters=4, kernel_sizes=(2,), invariant_dim=8,
-            specific_dim=8, projection_dim=6, doc_len=16, vocab_size=200,
-            epochs=1, early_stopping=False,
-        )
-        trainer = OmniMatchTrainer(dataset, split, config)
-        trainer.fit()
-        summary = trainer.perf.summary()
-        for phase in ("batch_assembly", "forward", "backward", "optimizer"):
-            assert phase in summary, phase
-            assert summary[phase]["calls"] >= 1
+from repro.perf import throughput, write_report
 
 
 class TestReporting:
