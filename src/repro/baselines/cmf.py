@@ -16,7 +16,7 @@ import numpy as np
 from ..data.records import CrossDomainDataset
 from ..data.split import ColdStartSplit
 from .base import BaselineRecommender, clip_rating, source_triples, visible_target_triples
-from .mf import MFConfig
+from .mf import MFConfig, sgd_wavefront
 
 __all__ = ["CMF"]
 
@@ -77,23 +77,20 @@ class CMF(BaselineRecommender):
             for u, i, r in tgt
         ]
         encoded = np.array(rows)
-        order = np.arange(len(encoded))
-        for _ in range(cfg.epochs):
-            rng.shuffle(order)
-            for idx in order:
-                u, i = int(encoded[idx, 0]), int(encoded[idx, 1])
-                r, mean, weight = encoded[idx, 2], encoded[idx, 3], encoded[idx, 4]
-                pu, qi = self._user_factors[u], self._item_factors[i]
-                pred = pu @ qi
-                if self.use_bias:
-                    pred += mean + self._user_bias[u] + self._item_bias[i]
-                err = weight * (r - pred)
-                if self.use_bias:
-                    self._user_bias[u] += cfg.learning_rate * (err - cfg.reg * self._user_bias[u])
-                    self._item_bias[i] += cfg.learning_rate * (err - cfg.reg * self._item_bias[i])
-                pu_old = pu.copy()
-                self._user_factors[u] += cfg.learning_rate * (err * qi - cfg.reg * pu)
-                self._item_factors[i] += cfg.learning_rate * (err * pu_old - cfg.reg * qi)
+        means = encoded[:, 3]
+
+        def predict(dot, user_bias, item_bias, batch):
+            if user_bias is None:
+                return dot
+            return dot + ((means[batch] + user_bias) + item_bias)
+
+        sgd_wavefront(
+            encoded[:, 0].astype(np.int64), encoded[:, 1].astype(np.int64),
+            encoded[:, 2], self._user_factors, self._item_factors,
+            self._user_bias if self.use_bias else None,
+            self._item_bias if self.use_bias else None,
+            predict, cfg, rng, weights=encoded[:, 4],
+        )
         return self
 
     def predict(self, user_id: str, item_id: str) -> float:

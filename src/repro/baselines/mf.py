@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MFConfig", "BiasedMF"]
+__all__ = ["MFConfig", "BiasedMF", "sgd_wavefront"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,80 @@ class MFConfig:
     init_std: float = 0.1
     use_bias: bool = True
     seed: int = 0
+
+
+def _wavefront_levels(
+    users: np.ndarray, items: np.ndarray, num_users: int, num_items: int
+) -> np.ndarray:
+    """Level of each sample in visit order: 1 + the highest level among the
+    earlier samples that share its user row or its item row."""
+    last_user = [0] * num_users
+    last_item = [0] * num_items
+    levels = []
+    for u, i in zip(users.tolist(), items.tolist()):
+        lu, li = last_user[u], last_item[i]
+        level = (lu if lu > li else li) + 1
+        last_user[u] = last_item[i] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.int64)
+
+
+def sgd_wavefront(
+    users: np.ndarray,
+    items: np.ndarray,
+    ratings: np.ndarray,
+    user_factors: np.ndarray,
+    item_factors: np.ndarray,
+    user_bias: np.ndarray | None,
+    item_bias: np.ndarray | None,
+    predict,
+    cfg: MFConfig,
+    rng: np.random.Generator,
+    weights: np.ndarray | None = None,
+) -> None:
+    """``cfg.epochs`` of per-sample SGD, in place, one wavefront at a time.
+
+    Each epoch visits the samples in one ``rng.shuffle`` order. The samples
+    are grouped into levels (:func:`_wavefront_levels`); no two samples of
+    a level touch the same user or item row, and every sample's earlier
+    neighbours sit in lower levels, so running the levels in order — one
+    gather → predict → update → scatter each — hands every sample exactly
+    the rows the one-sample-at-a-time loop would, and the factors come out
+    bit for bit the same. The dot product is a batched ``matmul`` of
+    ``(n, 1, k) @ (n, k, 1)``, which reduces each row like ``p_u @ q_i``
+    (``einsum`` and ``(P * Q).sum(1)`` do not); every other op is
+    elementwise.
+
+    ``predict(dot, b_u, b_i, batch)`` maps the level's dot products (and
+    its gathered bias rows, None when the biases are off) to predictions;
+    ``batch`` indexes the level's samples. ``weights`` scales each error.
+    """
+    lr, reg = cfg.learning_rate, cfg.reg
+    order = np.arange(len(ratings))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        levels = _wavefront_levels(
+            users[order], items[order], len(user_factors), len(item_factors)
+        )
+        schedule = order[np.argsort(levels, kind="stable")]
+        bounds = np.cumsum(np.bincount(levels))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            batch = schedule[start:stop]
+            u, i = users[batch], items[batch]
+            pu, qi = user_factors[u], item_factors[i]
+            dot = np.matmul(pu[:, None, :], qi[:, :, None])[:, 0, 0]
+            bu = bi = None
+            if user_bias is not None:
+                bu, bi = user_bias[u], item_bias[i]
+            err = ratings[batch] - predict(dot, bu, bi, batch)
+            if weights is not None:
+                err = weights[batch] * err
+            if user_bias is not None:
+                user_bias[u] = bu + lr * (err - reg * bu)
+                item_bias[i] = bi + lr * (err - reg * bi)
+            err = err[:, None]
+            user_factors[u] = pu + lr * (err * qi - reg * pu)
+            item_factors[i] = qi + lr * (err * pu - reg * qi)
 
 
 class BiasedMF:
@@ -68,26 +142,19 @@ class BiasedMF:
         encoded = np.array(
             [(self.user_index[u], self.item_index[i], r) for u, i, r in triples]
         )
-        users = encoded[:, 0].astype(np.int64)
-        items = encoded[:, 1].astype(np.int64)
-        ratings = encoded[:, 2]
+        mean = self.global_mean
 
-        order = np.arange(len(triples))
-        for _ in range(cfg.epochs):
-            rng.shuffle(order)
-            for idx in order:
-                u, i, r = users[idx], items[idx], ratings[idx]
-                pu, qi = self.user_factors[u], self.item_factors[i]
-                pred = self.global_mean + pu @ qi
-                if cfg.use_bias:
-                    pred += self.user_bias[u] + self.item_bias[i]
-                err = r - pred
-                if cfg.use_bias:
-                    self.user_bias[u] += cfg.learning_rate * (err - cfg.reg * self.user_bias[u])
-                    self.item_bias[i] += cfg.learning_rate * (err - cfg.reg * self.item_bias[i])
-                pu_old = pu.copy()
-                self.user_factors[u] += cfg.learning_rate * (err * qi - cfg.reg * pu)
-                self.item_factors[i] += cfg.learning_rate * (err * pu_old - cfg.reg * qi)
+        def predict(dot, user_bias, item_bias, batch):
+            pred = mean + dot
+            return pred if user_bias is None else pred + (user_bias + item_bias)
+
+        sgd_wavefront(
+            encoded[:, 0].astype(np.int64), encoded[:, 1].astype(np.int64),
+            encoded[:, 2], self.user_factors, self.item_factors,
+            self.user_bias if cfg.use_bias else None,
+            self.item_bias if cfg.use_bias else None,
+            predict, cfg, rng,
+        )
         return self
 
     # ------------------------------------------------------------------

@@ -198,12 +198,13 @@ def run_experiment(
     executing a slice of a larger experiment derives the same per-trial
     seeds (``seed + trial``) and labels as the serial run; with
     ``emit_summary=False`` the closing ``experiment`` event is suppressed
-    (the parent emits it after merging the slices). ``store_provider``
-    maps ``(dataset, split, trial_seed)`` to a pre-built document store —
-    or None to build locally. With ``workers >= 2`` the trials themselves
-    fan out over a worker pool (``telemetry_dir`` then collects per-worker
-    shards; a per-process ``telemetry`` sink cannot cross the process
-    boundary and is rejected).
+    (with ``workers >= 2`` the workers run that way, and the parent emits
+    the event into its own ``run-parent.jsonl`` shard and re-merges).
+    ``store_provider`` maps ``(dataset, split, trial_seed)`` to a pre-built
+    document store — or None to build locally. With ``workers >= 2`` the
+    trials themselves fan out over a worker pool (``telemetry_dir`` then
+    collects per-worker shards; a per-process ``telemetry`` sink cannot
+    cross the process boundary and is rejected).
     """
     _check_generator_overrides(generator_overrides)
     if dataset is not None and generator_overrides:
@@ -241,11 +242,23 @@ def run_experiment(
         )
         rmses = [value for part in partials for value in part.rmse_per_trial]
         maes = [value for part in partials for value in part.mae_per_trial]
-        return _assemble_result(
+        result = _assemble_result(
             method, dataset_name, source, target, rmses, maes,
             fit_seconds=sum(part.fit_seconds for part in partials),
             wall_seconds=sum(part.wall_seconds for part in partials),
         )
+        if telemetry_dir is not None and emit_summary:
+            # The workers ran single-trial slices with the summary off; the
+            # parent adds its own shard with the reassembled cell and
+            # re-merges (a re-merge replaces ``run.jsonl``).
+            from ..obs import TelemetrySink, merge_shards
+
+            with TelemetrySink(
+                telemetry_dir, filename="run-parent.jsonl", run_id="experiment"
+            ) as sink:
+                _emit_experiment(sink, result)
+            merge_shards(telemetry_dir)
+        return result
 
     own_sink = None
     if telemetry is None and telemetry_dir is not None:
@@ -327,22 +340,27 @@ def _run_experiment_serial(
         )
         if sink is not None:
             if emit_summary:
-                sink.emit(
-                    "experiment",
-                    method=method,
-                    scenario=scenario,
-                    dataset=dataset_name,
-                    rmse=result.rmse,
-                    mae=result.mae,
-                    rmse_std=result.rmse_std,
-                    mae_std=result.mae_std,
-                    trials=result.trials,
-                    fit_seconds=fit_seconds,
-                    wall_seconds=wall_seconds,
-                    spans=tracer.totals(),
-                )
+                _emit_experiment(sink, result, spans=tracer.totals())
             sink.flush()
         return result
+
+
+def _emit_experiment(sink: "TelemetrySink", result: ExperimentResult, **extra) -> None:
+    """The closing ``experiment`` event of one cell."""
+    sink.emit(
+        "experiment",
+        method=result.method,
+        scenario=result.scenario,
+        dataset=result.dataset,
+        rmse=result.rmse,
+        mae=result.mae,
+        rmse_std=result.rmse_std,
+        mae_std=result.mae_std,
+        trials=result.trials,
+        fit_seconds=result.fit_seconds,
+        wall_seconds=result.wall_seconds,
+        **extra,
+    )
 
 
 def run_scenario_methods(

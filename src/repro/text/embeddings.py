@@ -11,6 +11,7 @@ resulting table is *frozen* during model training.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,27 +28,30 @@ def _cooccurrence_counts(
     vocab: Vocabulary,
     window: int,
 ) -> coo_matrix:
-    """Symmetric within-window co-occurrence counts over the corpus."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for doc in documents:
-        ids = [vocab.index_of(tok) for tok in doc]
-        for center, wid in enumerate(ids):
-            if wid == vocab.pad_index:
-                continue
-            lo = max(0, center - window)
-            for other in ids[lo:center]:
-                if other == vocab.pad_index:
-                    continue
-                rows.append(wid)
-                cols.append(other)
-                vals.append(1.0)
-                rows.append(other)
-                cols.append(wid)
-                vals.append(1.0)
+    """Symmetric within-window co-occurrence counts over the corpus.
+
+    One shifted-array pass per offset ``1..window`` over the concatenated
+    corpus: the token at position ``t`` pairs with the one at ``t - offset``
+    when both sit in the same document and neither is PAD, and each pair
+    is counted in both directions.
+    """
+    docs = [[vocab.index_of(tok) for tok in doc] for doc in documents]
+    ids = np.fromiter(chain.from_iterable(docs), dtype=np.int64)
+    doc_of = np.repeat(np.arange(len(docs)), [len(doc) for doc in docs])
+    not_pad = ids != vocab.pad_index
+    rows, cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for offset in range(1, window + 1):
+        keep = (
+            (doc_of[offset:] == doc_of[:-offset])
+            & not_pad[offset:]
+            & not_pad[:-offset]
+        )
+        center, other = ids[offset:][keep], ids[:-offset][keep]
+        rows += [center, other]
+        cols += [other, center]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     size = len(vocab)
-    return coo_matrix((vals, (rows, cols)), shape=(size, size))
+    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
 
 
 def train_ppmi_svd_embeddings(

@@ -148,10 +148,10 @@ class TestBatchArrays:
         assert trainer._auxiliary_doc(user) is trainer._auxiliary_doc(user)
 
 
-class TestFastPathEquivalence:
+class TestEpochBatches:
     """The vectorized gather must reproduce per-sample assembly exactly."""
 
-    def test_batch_arrays_match_legacy(self, world):
+    def test_match_per_sample_assembly(self, world):
         # A full epoch at the default mixing probabilities, so source,
         # target, auxiliary and blanked rows all occur.
         dataset, split = world
@@ -161,7 +161,7 @@ class TestFastPathEquivalence:
         assert len(epoch) == -(-len(interactions) // 32)
         assert sum(len(batch) for batch, _ in epoch) == len(interactions)
 
-    def test_rng_stream_matches_across_batches(self, world):
+    def test_rng_stream_matches_across_epochs(self, world):
         # Same seed, consecutive epochs: the vectorized draws must consume
         # the RNG exactly like the per-sample scalar draws, so the stream
         # stays aligned from one epoch's shuffle to the next.

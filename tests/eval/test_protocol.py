@@ -144,6 +144,39 @@ class TestTimingAndSpread:
         assert second_only.rmse_per_trial == both.rmse_per_trial[1:]
 
 
+class TestExperimentEvent:
+    """Serial and ``workers=2`` runs both close with one ``experiment`` event."""
+
+    @staticmethod
+    def experiment_events(directory):
+        from repro.obs import read_events
+
+        return [
+            e for e in read_events(directory / "run.jsonl")
+            if e["kind"] == "experiment"
+        ]
+
+    def test_parallel_run_emits_one_event_matching_serial(self, tmp_path):
+        from repro.cli import main
+
+        kwargs = dict(trials=3, seed=4, **SMALL)
+        serial = run_experiment("item-mean", "amazon", "books", "movies",
+                                telemetry_dir=tmp_path / "serial", **kwargs)
+        parallel = run_experiment("item-mean", "amazon", "books", "movies",
+                                  workers=2, telemetry_dir=tmp_path / "par",
+                                  **kwargs)
+        assert parallel.rmse_per_trial == serial.rmse_per_trial
+        [want] = self.experiment_events(tmp_path / "serial")
+        [got] = self.experiment_events(tmp_path / "par")
+        metrics = ("method", "scenario", "dataset", "rmse", "mae",
+                   "rmse_std", "mae_std", "trials")
+        assert {k: got[k] for k in metrics} == {k: want[k] for k in metrics}
+        assert got["rmse"] == parallel.rmse and got["trials"] == 3
+        assert got["fit_seconds"] == parallel.fit_seconds
+        assert got["wall_seconds"] == parallel.wall_seconds
+        assert main(["report", str(tmp_path / "par"), "--validate"]) == 0
+
+
 class TestResultFormatting:
     def _fake(self, method, rmse_value, mae_value):
         return ExperimentResult(

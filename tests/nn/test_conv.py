@@ -136,7 +136,7 @@ class TestTextConv:
         w = window_weights(mask, 2)
         np.testing.assert_allclose(w, [[1.0, 0.5, 0.0]])
 
-    def test_interleaved_same_shape_convs_grads_match_legacy(self):
+    def test_interleaved_same_shape_convs_grads_match_reference(self):
         """Two same-shaped banks share a workspace pool; the second forward
         clobbers the first's columns, forcing the stamped-buffer refill in
         backward. Gradients must match the reference regardless."""
@@ -156,8 +156,8 @@ class TestTextConv:
             out = (bank(t_x1, t_w1) + bank(t_x2, t_w2)).sum()
             out.backward()
             grads[name] = [t.grad for t in tensors]
-        for fast_grad, legacy_grad in zip(grads["fast"], grads["reference"]):
-            np.testing.assert_allclose(fast_grad, legacy_grad, rtol=1e-9, atol=1e-11)
+        for fast_grad, reference_grad in zip(grads["fast"], grads["reference"]):
+            np.testing.assert_allclose(fast_grad, reference_grad, rtol=1e-9, atol=1e-11)
 
     def test_matches_reference_composition(self):
         conv = nn.TextConv(4, 3, (2, 3), RNG(5), pooling="max_mean")

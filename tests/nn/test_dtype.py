@@ -154,11 +154,10 @@ class TestPredictorOutputDtype:
         assert predictor.predict_pairs([]).dtype == np.dtype(dtype)
 
 
-class TestFastMathToggle:
-    """The fused loss and the reference composition that fast math used to
-    toggle between agree on the same logits."""
+class TestCrossEntropyMatchesReference:
+    """The fused loss and the reference composition agree on the same logits."""
 
-    def test_cross_entropy_same_loss_both_paths(self):
+    def test_fused_loss_equals_composed_loss(self):
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(6, 5))
         labels = rng.integers(0, 5, size=6)

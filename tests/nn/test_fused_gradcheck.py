@@ -246,7 +246,7 @@ class TestFusedComposedEquivalence:
         for fused, composed in zip(fused_grads, composed_grads):
             np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
 
-    def test_conv_fast_matches_legacy(self):
+    def test_conv_bank_pool_matches_conv_pool(self):
         # The single-kernel bank (im2col GEMM, argmax max) against the
         # tensordot convolution and tie-splitting max of the reference.
         rng = np.random.default_rng(14)
@@ -256,12 +256,12 @@ class TestFusedComposedEquivalence:
             lambda a, wt: nn.conv_bank_pool(a, [wt], [None], pooling="max_mean"),
             [x, w],
         )
-        legacy_val, legacy_grads = self._grads(
+        reference_val, reference_grads = self._grads(
             lambda a, wt: reference.conv_pool(a, [wt], [None], "max_mean"), [x, w]
         )
-        np.testing.assert_allclose(fast_val, legacy_val, rtol=1e-10)
-        for fast, legacy in zip(fast_grads, legacy_grads):
-            np.testing.assert_allclose(fast, legacy, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(fast_val, reference_val, rtol=1e-10)
+        for fast, slow in zip(fast_grads, reference_grads):
+            np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-11)
 
 
 class TestFloat32Mode:

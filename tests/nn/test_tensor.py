@@ -231,7 +231,7 @@ class TestReductions:
         reference.tensor_max(x, axis=1).sum().backward()
         np.testing.assert_allclose(x.grad, [[0.5, 0.5]])
 
-    def test_max_ties_fast_math_picks_argmax(self):
+    def test_max_ties_route_gradient_to_first_argmax(self):
         x = Tensor(np.array([[3.0, 3.0]]), requires_grad=True)
         x.max(axis=1).sum().backward()
         np.testing.assert_allclose(x.grad, [[1.0, 0.0]])

@@ -1,8 +1,15 @@
 """Unit tests for PPMI-SVD word embeddings."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text import Vocabulary, random_embeddings, train_ppmi_svd_embeddings
+from repro.text.embeddings import _cooccurrence_counts
+from repro.text.vocab import PAD_TOKEN, UNK_TOKEN
+
+from .reference import cooccurrence_counts
 
 
 def corpus():
@@ -76,6 +83,60 @@ class TestPPMISVD:
         with pytest.raises(ValueError):
             train_ppmi_svd_embeddings([["a"]], vocab, dim=0)
 
+
+def assert_same_csr(docs, vocab, window):
+    fast = _cooccurrence_counts(docs, vocab, window).tocsr()
+    slow = cooccurrence_counts(docs, vocab, window).tocsr()
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestCooccurrenceMatchesLoop:
+    EDGE_DOCS = [
+        [],
+        ["a"],
+        ["a", "b"],
+        [PAD_TOKEN, "a", PAD_TOKEN, "b", "c"],
+        ["a", "never-in-vocab", UNK_TOKEN, "b", "a", "a"],
+        [PAD_TOKEN, PAD_TOKEN],
+        [],
+        ["c", "b", "a", "b", "c", "d", "e", "a", "b"],
+    ]
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_edge_documents(self, window):
+        vocab = Vocabulary.build([["a", "b", "c", "d", "e"]])
+        assert_same_csr(self.EDGE_DOCS, vocab, window)
+
+    @pytest.mark.parametrize("docs", [[], [[]], [["a"]], [[PAD_TOKEN, "a"]]])
+    def test_corpora_without_pairs(self, docs):
+        vocab = Vocabulary.build([["a", "b"]])
+        assert_same_csr(docs, vocab, 3)
+        assert _cooccurrence_counts(docs, vocab, 3).nnz == 0
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "zz", PAD_TOKEN, UNK_TOKEN]),
+                     max_size=9),
+            max_size=6,
+        ),
+        window=st.integers(1, 5),
+    )
+    def test_drawn_corpora(self, docs, window):
+        vocab = Vocabulary.build([["a", "b", "c"]])
+        assert_same_csr(docs, vocab, window)
+
+    def test_embedding_table_bit_identical(self, monkeypatch):
+        from repro.text import embeddings
+
+        docs = corpus()
+        vocab = Vocabulary.build(docs)
+        fast = train_ppmi_svd_embeddings(iter(docs), vocab, dim=8, seed=1)
+        monkeypatch.setattr(embeddings, "_cooccurrence_counts", cooccurrence_counts)
+        slow = train_ppmi_svd_embeddings(docs, vocab, dim=8, seed=1)
+        assert np.array_equal(fast, slow)
 
 class TestRandomEmbeddings:
     def test_deterministic(self):
