@@ -17,6 +17,9 @@ Injectors plug into :meth:`repro.core.OmniMatchTrainer.fit` via
 * ``after_backward(epoch, batch, parameters)`` — may corrupt gradients
   (how :class:`NonFiniteGradientInjector` plants a NaN/Inf gradient).
 
+Supervised worker fleets (the task pool, the serving daemon) take a
+:class:`WorkerFaultPlan` of scripted deaths and stalls instead.
+
 The file-corruption helpers (:func:`flip_random_bit`, :func:`truncate_file`,
 :func:`delete_manifest_entry`) mutate checkpoint artifacts on disk; the
 chaos suite asserts that every such corruption is *detected* by
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 from typing import Sequence
 
@@ -39,11 +43,8 @@ __all__ = [
     "CrashInjector",
     "NonFiniteLossInjector",
     "NonFiniteGradientInjector",
-    "WorkerKillPlan",
-    "ServeKillPlan",
-    "SlowWorkerPlan",
+    "WorkerFaultPlan",
     "POISON_USER",
-    "poisoned_request",
     "random_crash_point",
     "flip_random_bit",
     "truncate_file",
@@ -169,83 +170,50 @@ class NonFiniteGradientInjector(_ScheduledFault):
             param.grad.flat[0] = self.value
 
 
-class WorkerKillPlan:
-    """Deterministic worker-process deaths for :class:`~repro.parallel.TaskPool`
-    workloads (the experiment engine and the tuner).
+class WorkerFaultPlan:
+    """Deterministic deaths and stalls for a supervised worker fleet: the
+    task pool's workers (the experiment engine and the tuner) and the
+    recommendation daemon's serving workers.
 
-    ``kills`` is a set of ``(task_index, attempt)`` coordinates: a worker
-    about to execute that attempt of that task instead dies on the spot
-    via ``os._exit`` — no cleanup, no exception propagation, exactly like
-    a SIGKILL'd worker. Because the coordinates include the attempt
-    number, the requeued retry (attempt + 1) proceeds normally, so a
-    chaos run exercises the death → requeue → recover path with a fully
-    reproducible schedule. The plan is picklable and travels to workers
-    in their spawn arguments.
+    Coordinates are ``(slot, generation, unit)``: the worker occupying
+    ``slot`` in ``generation``, about to handle the ``unit``-th message
+    (0-based) that generation has taken from its task queue — one task in
+    the pool, one request batch in the daemon. ``kills`` is a set of
+    coordinates at which the worker dies via ``os._exit`` — no cleanup, no
+    exception propagation, exactly like a SIGKILL. ``stalls`` maps
+    coordinates to seconds the worker sleeps first: the wedged-but-alive
+    failure mode, which the daemon's stall watchdog converts into a death.
+
+    Because a respawn bumps the generation, the healed worker sails past
+    the same unit unless the plan also schedules its new generation, so a
+    chaos run exercises death → requeue → recover with a reproducible
+    schedule. The plan is picklable and travels to workers in their spawn
+    arguments.
     """
 
-    #: Exit code used for injected deaths (distinguishable from real ones).
+    #: Exit code of an injected death (distinguishable from real ones).
     EXIT_CODE = 117
 
-    def __init__(self, kills: Sequence[tuple[int, int]]) -> None:
-        self.kills = frozenset((int(index), int(attempt)) for index, attempt in kills)
-
-    def should_kill(self, task_index: int, attempt: int) -> bool:
-        """Whether this attempt of this task is scheduled to die."""
-        return (task_index, attempt) in self.kills
-
-
-class ServeKillPlan:
-    """Deterministic serving-worker deaths for the recommendation daemon.
-
-    ``kills`` is a set of ``(worker_slot, generation, batch_index)``
-    coordinates: the worker occupying that slot in that generation dies
-    via ``os._exit`` immediately before handling its ``batch_index``-th
-    request batch. Because respawns bump the generation, the healed worker
-    sails past the same batch count unless the plan also schedules its new
-    generation — so a chaos run exercises death → requeue → recover with a
-    reproducible schedule, mid-traffic.
-    """
-
-    #: Exit code used for injected serving deaths.
-    EXIT_CODE = 118
-
-    def __init__(self, kills: Sequence[tuple[int, int, int]]) -> None:
+    def __init__(
+        self,
+        kills: Sequence[tuple[int, int, int]] = (),
+        stalls: dict[tuple[int, int, int], float] | None = None,
+    ) -> None:
         self.kills = frozenset(
-            (int(slot), int(generation), int(batch))
-            for slot, generation, batch in kills
+            (int(slot), int(generation), int(unit)) for slot, generation, unit in kills
         )
-
-    def should_kill(self, slot: int, generation: int, batch_index: int) -> bool:
-        """Whether this batch of this worker generation is scheduled to die."""
-        return (slot, generation, batch_index) in self.kills
-
-
-class SlowWorkerPlan:
-    """Deterministic worker stalls (the wedged-but-alive failure mode).
-
-    ``stalls`` maps ``(worker_slot, generation, batch_index)`` to a stall
-    duration in seconds; the worker sleeps that long before handling the
-    batch. The daemon's stall watchdog treats an in-flight batch older
-    than its stall budget as a wedge and SIGKILLs the worker, converting
-    the stall into the already-handled death path.
-    """
-
-    def __init__(self, stalls: dict[tuple[int, int, int], float]) -> None:
         self.stalls = {
-            (int(slot), int(generation), int(batch)): float(seconds)
-            for (slot, generation, batch), seconds in stalls.items()
+            (int(slot), int(generation), int(unit)): float(seconds)
+            for (slot, generation, unit), seconds in (stalls or {}).items()
         }
 
-    def stall_seconds(self, slot: int, generation: int, batch_index: int) -> float:
-        """Scheduled stall for this batch (0.0 when none)."""
-        return self.stalls.get((slot, generation, batch_index), 0.0)
-
-    def maybe_stall(self, slot: int, generation: int, batch_index: int) -> None:
-        import time
-
-        seconds = self.stall_seconds(slot, generation, batch_index)
+    def apply(self, slot: int, generation: int, unit: int) -> None:
+        """Stall and/or die as scheduled for this unit (no-op otherwise)."""
+        seconds = self.stalls.get((slot, generation, unit), 0.0)
         if seconds > 0:
             time.sleep(seconds)
+        if (slot, generation, unit) in self.kills:
+            os._exit(self.EXIT_CODE)
 
 
 #: Sentinel user id that raises inside a serving worker's execution path
@@ -254,19 +222,6 @@ class SlowWorkerPlan:
 #: internally-poisoned request. The daemon must answer it with an ``error``
 #: response and keep the batch-mates (and the worker) healthy.
 POISON_USER = "__repro_poisoned_user__"
-
-
-def poisoned_request(request_id: int = 0, op: str = "recommend", k: int = 5) -> dict:
-    """A protocol request guaranteed to raise inside a serving worker."""
-    if op == "recommend":
-        return {"id": request_id, "op": "recommend", "user": POISON_USER, "k": k}
-    if op == "score":
-        return {
-            "id": request_id,
-            "op": "score",
-            "pairs": [[POISON_USER, "no-such-item"]],
-        }
-    raise ValueError(f"cannot poison op {op!r}")
 
 
 def random_crash_point(

@@ -10,13 +10,12 @@ from .conv import TextConv, clear_conv_workspace, conv_bank_pool
 from .graph import (
     Arena,
     GraphOptimizer,
-    graph_optimizer,
     graph_scope,
     set_graph_optimizer,
     tape_ops,
     tape_size,
 )
-from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh
+from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, ReLU
 from .loss import (
     CrossEntropyLoss,
     MSELoss,
@@ -64,7 +63,6 @@ __all__ = [
     "Arena",
     "GraphOptimizer",
     "set_graph_optimizer",
-    "graph_optimizer",
     "graph_scope",
     "tape_ops",
     "tape_size",
@@ -78,7 +76,6 @@ __all__ = [
     "Embedding",
     "Dropout",
     "ReLU",
-    "Tanh",
     "LayerNorm",
     "MLP",
     "TextConv",

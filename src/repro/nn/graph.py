@@ -78,7 +78,6 @@ __all__ = [
     "Arena",
     "GraphOptimizer",
     "set_graph_optimizer",
-    "graph_optimizer",
     "graph_scope",
     "tape_ops",
     "tape_size",
@@ -290,11 +289,6 @@ def set_graph_optimizer(graph: GraphOptimizer | None) -> GraphOptimizer | None:
     participate; ``no_grad`` (inference) execution is never touched.
     """
     return _tensor._set_graph(graph)
-
-
-def graph_optimizer() -> GraphOptimizer | None:
-    """The currently installed :class:`GraphOptimizer` (None when off)."""
-    return _tensor._GRAPH
 
 
 class graph_scope:

@@ -14,7 +14,7 @@ from . import init
 from .module import Module, Parameter
 from .tensor import Tensor, get_default_dtype
 
-__all__ = ["Linear", "Embedding", "Dropout", "ReLU", "Tanh", "MLP", "LayerNorm"]
+__all__ = ["Linear", "Embedding", "Dropout", "ReLU", "MLP", "LayerNorm"]
 
 
 class Linear(Module):
@@ -104,11 +104,6 @@ class Dropout(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
 
 
 class LayerNorm(Module):

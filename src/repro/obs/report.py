@@ -233,10 +233,12 @@ def summarize_run(events: list[dict]) -> dict:
             daemon["started"] = True
             daemon["workers"] = event.get("workers", 0)
             daemon["catalog"] = event.get("catalog", 0)
-        elif kind == "daemon_worker_death":
-            summary["daemon"]["deaths"] += 1
-            summary["daemon"]["requeues"] += event.get("requeued", 0)
-        elif kind == "daemon_stall_kill":
+        elif kind in ("worker_death", "daemon_worker_death"):
+            daemon = summary["daemon"]
+            daemon["deaths"] += 1
+            daemon["requeues"] += event.get("requeued", 0)
+            daemon["stall_kills"] += bool(event.get("stalled", False))
+        elif kind == "daemon_stall_kill":  # files written before worker_death
             summary["daemon"]["stall_kills"] += 1
         elif kind == "daemon_degrade":
             daemon = summary["daemon"]

@@ -52,14 +52,21 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     # Dataset I/O (repro.data.io)
     "dataset_load": ("path", "domain", "records"),
     "dataset_save": ("path", "domain", "records"),
-    # Task pool workers (repro.parallel.pool / repro.obs.merge); engine
-    # cells add method/scenario labels to "task"
+    # Worker fleets (repro.parallel.supervisor: the task pool and the
+    # daemon; repro.obs.merge); engine cells add method/scenario labels to
+    # "task"
     "worker_start": ("worker", "generation"),
     "worker_end": ("worker", "busy_seconds", "idle_seconds", "tasks_done"),
     "task": ("task", "worker", "status", "seconds"),
     "merge": ("shards", "events"),
-    # No longer emitted; kept so run.jsonl files that carry it still validate
+    # Parent side of a worker fleet (repro.serve.daemon)
+    "worker_death": ("worker", "generation", "exitcode", "requeued", "stalled"),
+    # No longer emitted; kept so run.jsonl files that carry them still validate
     "pool_task": ("task", "worker", "status", "seconds"),
+    "daemon_worker_ready": ("slot", "generation"),
+    "daemon_worker_death": ("slot", "generation", "exitcode", "requeued"),
+    "daemon_requeue": ("job", "slot", "attempt"),
+    "daemon_stall_kill": ("slot", "generation", "age_seconds"),
     # Hyperparameter tuner (repro.tune)
     "tune_trial": ("trial", "rung", "status"),
     "tune_rung": ("rung", "budget", "trials", "promoted", "killed"),
@@ -75,10 +82,6 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "serve_ann_recall": ("users", "k", "recall"),
     # Serving daemon (repro.serve.daemon)
     "daemon_start": ("workers", "catalog", "port"),
-    "daemon_worker_ready": ("slot", "generation"),
-    "daemon_worker_death": ("slot", "generation", "exitcode", "requeued"),
-    "daemon_requeue": ("job", "slot", "attempt"),
-    "daemon_stall_kill": ("slot", "generation", "age_seconds"),
     "daemon_degrade": ("level", "previous", "depth"),
     "daemon_stats": ("received", "completed", "shed", "timeouts", "errors", "depth", "level"),
     "daemon_stop": ("received", "completed", "shed", "timeouts", "errors", "deaths"),

@@ -21,7 +21,7 @@ contract rests on three facts:
   the same order as a serial run.
 
 Supervision is the pool's: a worker that dies (killed, segfault, an
-injected :class:`~repro.faults.WorkerKillPlan` death) has its cell
+injected :class:`~repro.faults.WorkerFaultPlan` death) has its cell
 requeued with ``attempt + 1`` (bounded by ``max_task_retries``) on a
 respawned worker; a cell that *raises* is not retried — exceptions are
 deterministic — and surfaces as :class:`ParallelExecutionError`.
@@ -52,7 +52,7 @@ from .sharing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..eval.protocol import ExperimentResult
-    from ..faults import WorkerKillPlan
+    from ..faults import WorkerFaultPlan
 
 __all__ = ["ExperimentTask", "ParallelExecutionError", "run_tasks"]
 
@@ -150,22 +150,6 @@ def _build_worlds(
     return worlds
 
 
-def _position_plan(
-    kill_plan: "WorkerKillPlan | None", tasks: list[ExperimentTask]
-) -> "WorkerKillPlan | None":
-    """Re-key a plan from ``(ExperimentTask.index, attempt)`` to the pool's
-    submission indexes (the position of each task in ``tasks``)."""
-    if kill_plan is None:
-        return None
-    from ..faults import WorkerKillPlan
-
-    position = {task.index: i for i, task in enumerate(tasks)}
-    return WorkerKillPlan(
-        [(position[index], attempt) for index, attempt in kill_plan.kills
-         if index in position]
-    )
-
-
 def run_tasks(
     tasks: "list[ExperimentTask]",
     *,
@@ -173,7 +157,7 @@ def run_tasks(
     telemetry_dir=None,
     dataset: CrossDomainDataset | None = None,
     max_task_retries: int = 2,
-    kill_plan: "WorkerKillPlan | None" = None,
+    fault_plan: "WorkerFaultPlan | None" = None,
 ) -> "list[ExperimentResult]":
     """Execute ``tasks``; returns one result per task, in task order.
 
@@ -181,8 +165,8 @@ def run_tasks(
     same parent-built worlds and stores, so the two modes differ only in
     transport — never in numbers. ``dataset`` short-circuits world
     generation when the caller already owns the world (trial fan-out).
-    ``kill_plan`` is a test hook injecting deterministic worker deaths,
-    keyed on ``(ExperimentTask.index, attempt)``.
+    ``fault_plan`` is a test hook injecting deterministic worker deaths
+    and stalls, keyed on the pool's ``(slot, generation, unit)``.
     """
     if len({task.index for task in tasks}) != len(tasks):
         raise ValueError("task indexes must be unique")
@@ -236,7 +220,7 @@ def run_tasks(
         with TaskPool(
             workers, telemetry_dir=telemetry_dir,
             max_task_retries=max_task_retries,
-            kill_plan=_position_plan(kill_plan, tasks),
+            fault_plan=fault_plan,
         ) as pool:
             indexes = [
                 pool.submit(

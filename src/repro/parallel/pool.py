@@ -3,8 +3,9 @@
 Every multiprocess workload in the repo that executes *tasks* runs here:
 the experiment engine (:func:`repro.parallel.engine.run_tasks` submits a
 fixed batch of cells and drains) and the ASHA tuner (waves of rungs with
-cancels between them). Process lifecycle — spawn, liveness, respawn with a
-bumped generation, dropping a dead generation's queue, stop — is
+cancels between them). The worker runtime — spawn, liveness, respawn with
+a bumped generation, the per-generation task queue and result pipe, the
+worker loop, the fault plan, stop — is
 :class:`~repro.parallel.supervisor.WorkerSupervisor`'s; the pool adds what
 is specific to tasks:
 
@@ -25,8 +26,9 @@ is specific to tasks:
   its death *is* the cancellation.
 
 ``workers < 2`` runs every task inline in submission order — no processes,
-no shared memory, same outcomes — through the same run-a-task helper as
-the workers, so both modes emit identical telemetry: when
+no shared memory, same outcomes — through the same run-a-task handler and
+:class:`~repro.parallel.supervisor.WorkerShard` as the workers, so both
+modes emit identical telemetry: when
 ``telemetry_dir`` is given, each worker (and the inline loop) writes
 ``run-w<id>g<gen>.jsonl`` with a ``worker_start``, one ``task`` event per
 task and a ``worker_end``; the caller merges shards when *it* is done
@@ -40,8 +42,7 @@ the outcome carries the traceback and :meth:`TaskPool.drain` raises
 from __future__ import annotations
 
 import dataclasses
-import os
-import queue as queue_module
+import functools
 import time
 import traceback
 from collections import deque
@@ -49,10 +50,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..obs import TelemetrySink
-from .supervisor import WorkerSupervisor
+from .supervisor import WorkerShard, WorkerSupervisor, run_worker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import WorkerKillPlan
+    from ..faults import WorkerFaultPlan
 
 __all__ = ["TaskContext", "TaskOutcome", "TaskPool", "TaskPoolError"]
 
@@ -117,124 +118,47 @@ class _PoolPayload:
     attempt: int = 0
 
 
-class _Runner:
-    """Runs tasks for one worker generation (or the inline loop).
-
-    Owns the generation's telemetry shard: ``worker_start`` on creation,
-    one ``task`` event per :meth:`run`, ``worker_end`` on :meth:`close`.
-    """
-
-    def __init__(
-        self, worker: int, generation: int, telemetry_dir,
-        should_stop: Callable[[int], bool],
-    ) -> None:
-        self.worker = worker
-        self.generation = generation
-        self.should_stop = should_stop
-        self.sink = None
-        if telemetry_dir is not None:
-            self.sink = TelemetrySink(
-                telemetry_dir,
-                filename=f"run-w{worker}g{generation}.jsonl",
-                run_id=f"w{worker}g{generation}",
-            )
-            self.sink.emit(
-                "worker_start", worker=worker, generation=generation, pid=os.getpid()
-            )
-            self.sink.flush()
-        self.started = time.perf_counter()
-        self.busy_seconds = 0.0
-        self.tasks_done = 0
-
-    def run(self, payload: _PoolPayload) -> TaskOutcome:
-        ctx = TaskContext(
-            index=payload.index,
-            attempt=payload.attempt,
-            worker=self.worker,
-            generation=self.generation,
-            should_stop=lambda: self.should_stop(payload.index),
-            sink=self.sink,
-        )
-        outcome = TaskOutcome(
-            index=payload.index, status="ok", worker=self.worker,
-            generation=self.generation, attempt=payload.attempt,
-        )
-        task_start = time.perf_counter()
-        try:
-            outcome.value = payload.fn(ctx, *payload.args, **dict(payload.kwargs))
-        except Exception:
-            outcome.status = "error"
-            outcome.error = traceback.format_exc()
-        outcome.seconds = time.perf_counter() - task_start
-        if outcome.status == "ok":
-            self.busy_seconds += outcome.seconds
-            self.tasks_done += 1
-        if self.sink is not None:
-            self.sink.emit(
-                "task", task=payload.index, worker=self.worker,
-                status=outcome.status, seconds=outcome.seconds,
-                attempt=payload.attempt, **dict(payload.labels),
-            )
-            self.sink.flush()
-        return outcome
-
-    def close(self) -> None:
-        if self.sink is not None:
-            total = time.perf_counter() - self.started
-            self.sink.emit(
-                "worker_end",
-                worker=self.worker,
-                busy_seconds=self.busy_seconds,
-                idle_seconds=max(0.0, total - self.busy_seconds),
-                tasks_done=self.tasks_done,
-            )
-            self.sink.close()
-
-
-def _pool_worker_main(
-    worker_id: int,
-    generation: int,
-    task_queue,
-    result_queue,
-    cancel_cell,
-    telemetry_dir,
-    default_dtype: str,
-    kill_plan: "WorkerKillPlan | None",
-) -> None:
-    """Worker loop: pull payloads until the ``None`` sentinel arrives."""
-    from ..nn.tensor import set_default_dtype
-
-    # Mirror the parent's default dtype: a parent that changed it after
-    # import would otherwise silently diverge from a serial run.
-    set_default_dtype(default_dtype)
-
-    runner = _Runner(
-        worker_id, generation, telemetry_dir,
-        lambda index: cancel_cell.value == index,
+def _run_task(
+    payload: _PoolPayload, *, worker: int, generation: int, sink, cancel_cell=None
+) -> TaskOutcome:
+    """Run one task and emit its ``task`` event: the pool's message
+    handler, in a worker (with its cancel cell) and in the inline loop."""
+    ctx = TaskContext(
+        index=payload.index,
+        attempt=payload.attempt,
+        worker=worker,
+        generation=generation,
+        should_stop=(
+            (lambda: False) if cancel_cell is None
+            else (lambda: cancel_cell.value == payload.index)
+        ),
+        sink=sink,
     )
+    outcome = TaskOutcome(
+        index=payload.index, status="ok", worker=worker,
+        generation=generation, attempt=payload.attempt,
+    )
+    task_start = time.perf_counter()
     try:
-        while True:
-            payload = task_queue.get()
-            if payload is None:
-                break
-            if kill_plan is not None and kill_plan.should_kill(
-                payload.index, payload.attempt
-            ):
-                # Abrupt death — after draining this process's result-queue
-                # feeder thread (dying while it holds the shared write lock
-                # would wedge every other worker).
-                result_queue.close()
-                result_queue.join_thread()
-                os._exit(kill_plan.EXIT_CODE)
-            outcome = runner.run(payload)
-            # Clear only our own cancellation: the parent may already
-            # have signalled a *different* index for the next task.
-            with cancel_cell.get_lock():
-                if cancel_cell.value == payload.index:
-                    cancel_cell.value = _NO_CANCEL
-            result_queue.put((worker_id, outcome))
-    finally:
-        runner.close()
+        outcome.value = payload.fn(ctx, *payload.args, **dict(payload.kwargs))
+    except Exception:
+        outcome.status = "error"
+        outcome.error = traceback.format_exc()
+    outcome.seconds = time.perf_counter() - task_start
+    if sink is not None:
+        sink.emit(
+            "task", task=payload.index, worker=worker,
+            status=outcome.status, seconds=outcome.seconds,
+            attempt=payload.attempt, **dict(payload.labels),
+        )
+        sink.flush()
+    if cancel_cell is not None:
+        # Clear only our own cancellation: the parent may already have
+        # signalled a *different* index for the next task.
+        with cancel_cell.get_lock():
+            if cancel_cell.value == payload.index:
+                cancel_cell.value = _NO_CANCEL
+    return outcome
 
 
 class TaskPool:
@@ -251,18 +175,17 @@ class TaskPool:
         *,
         telemetry_dir=None,
         max_task_retries: int = 2,
-        kill_plan: "WorkerKillPlan | None" = None,
+        fault_plan: "WorkerFaultPlan | None" = None,
     ) -> None:
         self.workers = workers
         self.telemetry_dir = telemetry_dir
         self.max_task_retries = max_task_retries
-        self.kill_plan = kill_plan
+        self.fault_plan = fault_plan
         self._supervisor: WorkerSupervisor | None = None
-        self._result_queue = None
         self._cancel_cells: dict[int, Any] = {}
         # Fixed length, so cancel() may scan it from another thread.
         self._in_flight: list[_PoolPayload | None] = [None] * workers
-        self._inline: _Runner | None = None
+        self._inline: WorkerShard | None = None
         self._pending: deque[_PoolPayload] = deque()
         self._outcomes: dict[int, TaskOutcome] = {}
         self._cancel_requested: set[int] = set()
@@ -367,25 +290,36 @@ class TaskPool:
 
     def _drain_inline(self) -> None:
         if self._inline is None:
-            self._inline = _Runner(0, 0, self.telemetry_dir, lambda index: False)
+            self._inline = WorkerShard(0, 0, self.telemetry_dir)
+            self._inline.start()
+        handle = functools.partial(
+            _run_task, worker=0, generation=0, sink=self._inline.sink
+        )
         while self._pending:
             payload = self._pending.popleft()
-            self._outcomes[payload.index] = self._inline.run(payload)
+            self._outcomes[payload.index] = self._inline.run(handle, payload)
 
     # -- worker mode ----------------------------------------------------
-    def _worker_args(self, slot: int, generation: int, task_queue) -> tuple:
-        """Each generation gets a fresh cancel cell (and queue, from the
-        supervisor) and the parent's default dtype as of its spawn."""
-        from ..nn.tensor import get_default_dtype
+    def _worker_args(self, slot: int, generation: int) -> tuple:
+        """:func:`run_worker` arguments for one generation: a fresh cancel
+        cell, and the parent's default dtype as of its spawn."""
+        from ..nn.tensor import get_default_dtype, set_default_dtype
 
         cell = self._cancel_cells[slot] = self._supervisor.ctx.Value("q", _NO_CANCEL)
-        return (
-            slot, generation, task_queue, self._result_queue, cell,
-            self.telemetry_dir, str(get_default_dtype()), self.kill_plan,
-        )
+        dtype = str(get_default_dtype())
 
-    def _handle(self, message) -> None:
-        slot, outcome = message
+        def setup(sink):
+            # Mirror the parent's default dtype: a parent that changed it
+            # after import would otherwise silently diverge from a serial run.
+            set_default_dtype(dtype)
+            return functools.partial(
+                _run_task, worker=slot, generation=generation, sink=sink,
+                cancel_cell=cell,
+            )
+
+        return (setup, self.telemetry_dir, None, self.fault_plan)
+
+    def _handle(self, slot: int, outcome: TaskOutcome) -> None:
         in_flight = self._in_flight[slot]
         if in_flight is not None and in_flight.index == outcome.index:
             self._in_flight[slot] = None
@@ -394,18 +328,9 @@ class TaskPool:
         outcome.cancel_requested = outcome.index in self._cancel_requested
         self._outcomes[outcome.index] = outcome
 
-    def _reap(self) -> None:
-        """Respawn dead workers; requeue the tasks they held, or record them
-        cancelled when a cancel was pending."""
-        deaths = self._supervisor.check()
-        if not deaths:
-            return
-        # A worker may have posted a result just before dying.
-        while True:
-            try:
-                self._handle(self._result_queue.get_nowait())
-            except queue_module.Empty:
-                break
+    def _requeue(self, deaths: list) -> None:
+        """Requeue the tasks dead workers held, or record them cancelled
+        when a cancel was pending."""
         for death in deaths:
             payload = self._in_flight[death.slot]
             self._in_flight[death.slot] = None
@@ -433,18 +358,19 @@ class TaskPool:
     def _drain_workers(self) -> None:
         if self._supervisor is None:
             self._supervisor = WorkerSupervisor(
-                _pool_worker_main, self._worker_args, self.workers
+                run_worker, self._worker_args, self.workers
             )
-            self._result_queue = self._supervisor.ctx.Queue()
             self._supervisor.start()
         while len(self._outcomes) < self._next_index:
             for slot, in_flight in enumerate(self._in_flight):
                 if in_flight is None and self._pending:
                     payload = self._in_flight[slot] = self._pending.popleft()
                     self._supervisor.send(slot, payload)
-            try:
-                self._handle(self._result_queue.get(timeout=0.2))
-                continue
-            except queue_module.Empty:
-                pass
-            self._reap()
+            # Deaths first: receive() then hands over every result a dead
+            # worker sent before dying, so only unfinished tasks requeue.
+            deaths = self._supervisor.check()
+            for slot, outcome in self._supervisor.receive(
+                timeout=0 if deaths else 0.2
+            ):
+                self._handle(slot, outcome)
+            self._requeue(deaths)

@@ -17,15 +17,17 @@ Lifecycle contract
   in its ``finally`` block).
 * **Workers** only :func:`attach`; an attached pack must be closed but
   never unlinked.
-* Every created segment is recorded in a module-level registry and an
-  ``atexit`` hook unlinks leftovers, so even an abnormal parent exit (a
+* Every created segment is recorded, with the pid that created it, in a
+  module-level registry and an ``atexit`` hook unlinks leftovers, so even an abnormal parent exit (a
   raised :class:`~repro.parallel.engine.ParallelExecutionError`, a test
   failure) leaves nothing behind in ``/dev/shm``. The first
   :meth:`ShmPack.publish` additionally installs SIGTERM/SIGINT handlers
   (:func:`install_signal_cleanup`) that run the same sweep before the
   signal's previous behavior resumes — ``atexit`` never fires for a
   signal-killed daemon, and a long-lived publisher must not leak on
-  ``kill``.
+  ``kill``. A forked child inherits the registry (and, until its entry
+  resets them, the handlers), so the sweep only ever unlinks segments the
+  sweeping process created itself: a worker never destroys its parent's.
 
 On Python < 3.13 a child process that merely attaches a segment would
 still register it with its ``resource_tracker``, which then unlinks the
@@ -61,17 +63,18 @@ __all__ = [
 
 _ALIGN = 64
 
-#: Names of segments created (and not yet unlinked) by this process.
-_LIVE_SEGMENTS: set[str] = set()
+#: Segments created and not yet unlinked: name -> pid of the creator.
+_LIVE_SEGMENTS: dict[str, int] = {}
 
 
 def live_segments() -> frozenset[str]:
     """Segments this process created and has not unlinked yet."""
-    return frozenset(_LIVE_SEGMENTS)
+    pid = os.getpid()
+    return frozenset(name for name, creator in _LIVE_SEGMENTS.items() if creator == pid)
 
 
 def _cleanup_at_exit() -> None:  # pragma: no cover - exercised via subprocess
-    for name in list(_LIVE_SEGMENTS):
+    for name in live_segments():
         try:
             segment = shared_memory.SharedMemory(name=name)
             segment.close()
@@ -80,7 +83,7 @@ def _cleanup_at_exit() -> None:  # pragma: no cover - exercised via subprocess
             pass
         except OSError:
             pass
-        _LIVE_SEGMENTS.discard(name)
+        _LIVE_SEGMENTS.pop(name, None)
 
 
 atexit.register(_cleanup_at_exit)
@@ -207,7 +210,7 @@ class ShmPack:
         segment = shared_memory.SharedMemory(
             name=segment_name, create=True, size=max(1, offset)
         )
-        _LIVE_SEGMENTS.add(segment.name)
+        _LIVE_SEGMENTS[segment.name] = os.getpid()
         for (name, layout), array in zip(layouts, arrays.values()):
             array = np.ascontiguousarray(array)
             view = np.ndarray(
@@ -233,7 +236,7 @@ class ShmPack:
         except FileNotFoundError:  # pragma: no cover - already reclaimed
             pass
         self._unlinked = True
-        _LIVE_SEGMENTS.discard(self.ref.name)
+        _LIVE_SEGMENTS.pop(self.ref.name, None)
 
 
 class AttachedPack:

@@ -57,23 +57,22 @@ workers).
 
 from __future__ import annotations
 
+import functools
 import os
-import pickle
 import socket
-import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as wait_readable
 from typing import Sequence
 
 import numpy as np
 
-from ..faults import POISON_USER, ServeKillPlan
+from ..faults import POISON_USER
 from ..obs import TelemetrySink
 from ..obs.merge import merge_shards
 from ..parallel import ShmPack, WorkerSupervisor, attach
+from ..parallel.supervisor import run_worker
 from .engine import InferenceEngine
 from .protocol import ProtocolError, encode_message, read_messages, validate_request
 from .shard_merge import merge_topk, shard_bounds, shard_topk
@@ -126,9 +125,8 @@ class DaemonConfig:
     prebuild_ann: bool = True
     #: Directory for telemetry shards (None disables telemetry).
     telemetry_dir: str | None = None
-    #: Chaos hooks (repro.faults): deterministic deaths and stalls.
-    kill_plan: object | None = None
-    slow_plan: object | None = None
+    #: Chaos hook: a repro.faults.WorkerFaultPlan of deaths and stalls.
+    fault_plan: object | None = None
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +161,20 @@ def _execute_job(engine: InferenceEngine, job: dict):
     raise ValueError(f"unknown worker op {op!r}")
 
 
+def _execute_batch(engine: InferenceEngine, message: tuple) -> list:
+    """Run one ``("batch", jobs)`` message; one ``(job, status, payload)``
+    entry per job."""
+    _, jobs = message
+    entries = []
+    for job in jobs:
+        try:
+            entries.append((job["job"], "ok", _execute_job(engine, job)))
+        except Exception as error:  # noqa: BLE001 - one bad request must
+            # not take down the batch, the worker, or the fleet.
+            entries.append((job["job"], "error", f"{type(error).__name__}: {error}"))
+    return entries
+
+
 def _daemon_worker_main(
     slot: int,
     generation: int,
@@ -175,127 +187,36 @@ def _daemon_worker_main(
     prebuild_ann: bool,
     telemetry_dir: str | None,
     run_stamp: str,
-    kill_plan,
-    slow_plan,
+    fault_plan,
 ) -> None:
-    """One serving worker: adopt the shared catalog, answer batches forever.
+    """One serving worker: adopt the shared catalog, answer batches until
+    the stop sentinel (the supervisor's :func:`run_worker` loop).
 
     Forked from the parent, so ``result`` (the trained model) arrives by
     inheritance, never pickled; the catalog matrix arrives as a read-only
     shared-memory view. A recommend job carries the slot range to score.
-    ``None`` on the task queue is the stop sentinel. Results go to
-    ``result_conn``, the write end of this generation's own result pipe.
     """
     pack = attach(shm_ref)
-    sink = None
-    if telemetry_dir is not None:
-        sink = TelemetrySink(
-            telemetry_dir,
-            filename=f"run-w{slot}g{generation}.jsonl",
-            run_id=f"{run_stamp}-w{slot}g{generation}",
+
+    def setup(sink):
+        engine = InferenceEngine(
+            result, catalog=list(catalog), telemetry=sink, **engine_options
         )
-    engine = InferenceEngine(result, catalog=list(catalog), telemetry=sink, **engine_options)
-    engine.items.adopt(pack["reprs"])
-    if prebuild_ann and len(catalog):
-        engine.ann_index()
-    if sink is not None:
-        sink.emit("worker_start", worker=slot, generation=generation)
-        sink.flush()
-    result_conn.send(("ready", slot, generation))
+        engine.items.adopt(pack["reprs"])
+        if prebuild_ann and len(catalog):
+            engine.ann_index()
+        return functools.partial(_execute_batch, engine)
 
-    def _die() -> None:
-        # Injected death: sends are synchronous, so nothing is left to
-        # flush; die without any other cleanup — exactly like a SIGKILL.
-        os._exit(ServeKillPlan.EXIT_CODE)
-
-    batch_index = 0
-    handled = 0
-    busy = 0.0
-    idle = 0.0
-    while True:
-        wait_start = time.perf_counter()
-        message = task_queue.get()
-        idle += time.perf_counter() - wait_start
-        if message is None:
-            break
-        _, jobs = message
-        if kill_plan is not None and kill_plan.should_kill(slot, generation, batch_index):
-            _die()
-        if slow_plan is not None:
-            slow_plan.maybe_stall(slot, generation, batch_index)
-        entries = []
-        work_start = time.perf_counter()
-        for job in jobs:
-            try:
-                entries.append((job["job"], "ok", _execute_job(engine, job)))
-            except Exception as error:  # noqa: BLE001 - one bad request must
-                # not take down the batch, the worker, or the fleet.
-                entries.append(
-                    (job["job"], "error", f"{type(error).__name__}: {error}")
-                )
-        busy += time.perf_counter() - work_start
-        handled += len(jobs)
-        result_conn.send(("results", slot, generation, batch_index, entries))
-        batch_index += 1
-
-    if sink is not None:
-        sink.emit(
-            "worker_end",
-            worker=slot,
-            busy_seconds=busy,
-            idle_seconds=idle,
-            tasks_done=handled,
-        )
-        sink.close()
+    run_worker(
+        slot, generation, task_queue, result_conn, setup, telemetry_dir,
+        f"{run_stamp}-w{slot}g{generation}", fault_plan,
+    )
     pack.close()
-    result_conn.close()
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _ResultPipe:
-    """One worker generation's result pipe, read by the parent without
-    ever blocking.
-
-    The worker is the only writer, so no lock is shared with the rest of
-    the fleet (a worker SIGKILLed while holding a shared queue's write lock
-    would wedge every other writer for good). A SIGKILL mid-send can still
-    leave a partial frame in this pipe, and a blocking ``recv`` would wait
-    for the rest forever. So the parent reads whatever bytes are there and
-    reassembles ``Connection.send`` frames itself; a torn frame stays an
-    incomplete buffer and is dropped with its generation.
-    """
-
-    def __init__(self, ctx) -> None:
-        self.reader, self.writer = ctx.Pipe(duplex=False)
-        os.set_blocking(self.reader.fileno(), False)
-        self._buffer = bytearray()
-
-    def messages(self) -> list:
-        """Every complete message that has arrived, in order."""
-        while True:
-            try:
-                chunk = os.read(self.reader.fileno(), 1 << 16)
-            except BlockingIOError:
-                break
-            if not chunk:
-                break
-            self._buffer += chunk
-        out = []
-        while len(self._buffer) >= 4:
-            (size,) = struct.unpack("!i", self._buffer[:4])
-            if len(self._buffer) < 4 + size:
-                break
-            out.append(pickle.loads(self._buffer[4 : 4 + size]))
-            del self._buffer[: 4 + size]
-        return out
-
-    def close(self) -> None:
-        self.reader.close()
-        self.writer.close()
-
-
 class _Connection:
     """One accepted client socket plus a write lock for its responders."""
 
@@ -382,7 +303,8 @@ class RecommendDaemon:
         self._intake: deque[_Request] = deque()
         self._outstanding: dict[int, _Job] = {}
         self._served_users: set[str] = set()
-        self._ready: dict[int, int] = {}  # slot -> generation that reported
+        # (slot, generation) pairs the stall watchdog SIGKILLed.
+        self._stall_killed: set[tuple[int, int]] = set()
         self._level = LEVEL_NORMAL
         self._counters = {
             "received": 0,
@@ -405,11 +327,6 @@ class RecommendDaemon:
         self._sink: TelemetrySink | None = None
         self._pack: ShmPack | None = None
         self._supervisor: WorkerSupervisor | None = None
-        # slot -> its current generation's result pipe. Retired pipes are
-        # closed by the collector, the only thread that reads them.
-        self._result_pipes: dict[int, _ResultPipe] = {}
-        self._retired_pipes: list[_ResultPipe] = []
-        self._pipes_lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._last_stats = 0.0
 
@@ -466,31 +383,18 @@ class RecommendDaemon:
         else:
             worker_result = result
 
-        def args_fn(slot: int, generation: int, task_queue):
-            pipe = _ResultPipe(self._supervisor.ctx)
-            with self._pipes_lock:
-                retired = self._result_pipes.get(slot)
-                if retired is not None:  # the dead generation's pipe
-                    self._retired_pipes.append(retired)
-                self._result_pipes[slot] = pipe
-            return (
-                slot,
-                generation,
-                task_queue,
-                pipe.writer,
-                worker_result,
-                shm_ref,
-                catalog,
-                dict(engine_options),
-                cfg.prebuild_ann,
-                cfg.telemetry_dir,
-                run_stamp,
-                cfg.kill_plan,
-                cfg.slow_plan,
-            )
-
+        worker_args = (
+            worker_result,
+            shm_ref,
+            catalog,
+            dict(engine_options),
+            cfg.prebuild_ann,
+            cfg.telemetry_dir,
+            run_stamp,
+            cfg.fault_plan,
+        )
         self._supervisor = WorkerSupervisor(
-            _daemon_worker_main, args_fn, cfg.workers
+            _daemon_worker_main, lambda slot, generation: worker_args, cfg.workers
         )
         self._supervisor.start()
 
@@ -534,13 +438,7 @@ class RecommendDaemon:
     def is_ready(self) -> bool:
         """Every slot's *current* generation has reported ready."""
         supervisor = self._supervisor
-        if supervisor is None or not self._started:
-            return False
-        with self._lock:
-            return all(
-                self._ready.get(slot) == supervisor.generation(slot)
-                for slot in range(self.config.workers)
-            )
+        return self._started and supervisor is not None and supervisor.is_ready()
 
     def stop(self) -> dict:
         """Drain, stop the fleet, merge telemetry, release shared memory.
@@ -583,15 +481,11 @@ class RecommendDaemon:
             self._respond(
                 request, {"status": "error", "error": "daemon stopping"}
             )
-        if self._supervisor is not None:
-            self._supervisor.stop()
+        # The collector is the fleet's one reader: stop it before the fleet.
         for thread in self._threads:
             thread.join(timeout=5)
-        with self._pipes_lock:
-            for pipe in [*self._result_pipes.values(), *self._retired_pipes]:
-                pipe.close()
-            self._result_pipes.clear()
-            self._retired_pipes.clear()
+        if self._supervisor is not None:
+            self._supervisor.stop()
         for conn in list(self._connections):
             conn.close()
         snapshot = self.stats()
@@ -889,35 +783,13 @@ class RecommendDaemon:
     # ------------------------------------------------------------------
     def _collect_loop(self) -> None:
         while True:
-            with self._pipes_lock:
-                for pipe in self._retired_pipes:
-                    pipe.close()
-                self._retired_pipes.clear()
-                pipes = {pipe.reader: pipe for pipe in self._result_pipes.values()}
-            try:
-                ready = wait_readable(list(pipes), timeout=0.1)
-            except (OSError, ValueError):  # pipes closed by stop()
-                return
-            if not ready:
-                if self._stopping:
-                    with self._lock:
-                        if not self._outstanding:
-                            return
-                continue
-            for reader in ready:
-                for message in pipes[reader].messages():
-                    self._collect(message)
-
-    def _collect(self, message: tuple) -> None:
-        kind = message[0]
-        if kind == "ready":
-            _, slot, generation = message
-            with self._lock:
-                self._ready[slot] = generation
-            self._emit("daemon_worker_ready", slot=slot, generation=generation)
-        elif kind == "results":
-            _, slot, generation, _batch_index, entries = message
-            self._absorb_results(slot, entries)
+            replies = self._supervisor.receive(timeout=0.1)
+            for slot, entries in replies:
+                self._absorb_results(slot, entries)
+            if not replies and self._stopping:
+                with self._lock:
+                    if not self._outstanding:
+                        return
 
     def _absorb_results(self, slot: int, entries: list) -> None:
         finished: list[tuple[_Job, dict]] = []
@@ -992,18 +864,19 @@ class RecommendDaemon:
             with self._lock:
                 if self._supervisor is None:
                     continue
-                deaths = self._supervisor.check()
-                for death in deaths:
+                for death in self._supervisor.check():
                     self._counters["deaths"] += 1
-                    self._ready.pop(death.slot, None)
                     requeued = self._requeue_slot(death.slot, failed)
+                    key = (death.slot, death.generation)
                     self._emit(
-                        "daemon_worker_death",
-                        slot=death.slot,
+                        "worker_death",
+                        worker=death.slot,
                         generation=death.generation,
                         exitcode=death.exitcode,
                         requeued=requeued,
+                        stalled=key in self._stall_killed,
                     )
+                    self._stall_killed.discard(key)
                 self._watchdog()
                 self._sweep_deadlines(failed)
                 self._update_level()
@@ -1043,9 +916,6 @@ class RecommendDaemon:
             self._counters["retries"] += 1
             self._supervisor.send(slot, ("batch", [job.payloads[slot]]))
             requeued += 1
-            self._emit(
-                "daemon_requeue", job=job_id, slot=slot, attempt=attempt
-            )
         return requeued
 
     def _watchdog(self) -> None:
@@ -1060,12 +930,7 @@ class RecommendDaemon:
                     stalled.add(slot)
         for slot in stalled:
             self._counters["stall_kills"] += 1
-            self._emit(
-                "daemon_stall_kill",
-                slot=slot,
-                generation=self._supervisor.generation(slot),
-                age_seconds=budget,
-            )
+            self._stall_killed.add((slot, self._supervisor.generation(slot)))
             self._supervisor.kill(slot)
 
     def _sweep_deadlines(self, failed: list) -> None:

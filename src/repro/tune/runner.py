@@ -147,7 +147,7 @@ def run_tuning(
     out_dir: str | Path,
     telemetry_dir: str | Path | None = None,
     max_task_retries: int = 2,
-    kill_plan=None,
+    fault_plan=None,
 ) -> TuneResult:
     """Run one tune end-to-end; returns the winner and writes the artifact.
 
@@ -155,8 +155,9 @@ def run_tuning(
     directories under ``trials/``; telemetry shards land in
     ``telemetry_dir`` (default ``out_dir/telemetry``) and are merged into
     a schema-valid ``run.jsonl`` at the end. ``workers < 2`` runs inline;
-    both modes produce byte-identical artifacts. ``kill_plan`` injects
-    deterministic worker deaths (chaos tests).
+    both modes produce byte-identical artifacts. ``fault_plan`` (a
+    :class:`~repro.faults.WorkerFaultPlan`) injects deterministic worker
+    deaths and stalls (chaos tests).
     """
     started = time.perf_counter()
     out_dir = Path(out_dir)
@@ -228,7 +229,7 @@ def run_tuning(
         alive = [t.trial_id for t in trials]
         with TaskPool(
             workers, telemetry_dir=telemetry_dir,
-            max_task_retries=max_task_retries, kill_plan=kill_plan,
+            max_task_retries=max_task_retries, fault_plan=fault_plan,
         ) as pool:
             for rung_index, budget in enumerate(sched.budgets):
                 task_index: dict[int, int] = {}

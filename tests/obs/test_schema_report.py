@@ -239,6 +239,17 @@ class TestReport:
         assert ann["probe_p50"] == pytest.approx(0.002)
         assert ann["recall"] == pytest.approx(0.95)
 
+    def test_summarize_worker_death_counts_stalls_and_requeues(self, tmp_path):
+        with TelemetrySink(tmp_path, run_id="serve") as sink:
+            sink.emit("daemon_start", workers=2, catalog=10, port=1)
+            sink.emit("worker_death", worker=0, generation=0, exitcode=-9,
+                      requeued=2, stalled=True)
+            sink.emit("worker_death", worker=1, generation=0, exitcode=117,
+                      requeued=1, stalled=False)
+        validate_run_file(tmp_path / "run.jsonl")
+        daemon = summarize_run(load_run_events(tmp_path / "run.jsonl"))["daemon"]
+        assert (daemon["deaths"], daemon["requeues"], daemon["stall_kills"]) == (2, 3, 1)
+
     def test_render_report_ann_section(self, tmp_path):
         text = render_report(load_run_events(self.write_ann_run(tmp_path)))
         assert "ann retrieval (1 index builds, 2 probes)" in text

@@ -5,7 +5,7 @@ import pytest
 from repro.core import OmniMatchConfig
 from repro.eval import METHODS, run_experiment
 from repro.eval.protocol import run_table
-from repro.faults import WorkerKillPlan
+from repro.faults import WorkerFaultPlan
 from repro.obs import read_events, validate_run_file
 from repro.parallel import (
     ExperimentTask,
@@ -83,9 +83,10 @@ class TestSupervision:
     def test_worker_death_requeues_deterministically(self, tmp_path):
         tasks = [small_task(i) for i in range(4)]
         clean = run_tasks(tasks, workers=2)
+        # Both slots' first generation dies on its first cell.
         chaotic = run_tasks(
             tasks, workers=2, telemetry_dir=tmp_path,
-            kill_plan=WorkerKillPlan([(1, 0), (2, 0)]),
+            fault_plan=WorkerFaultPlan([(0, 0, 0), (1, 0, 0)]),
         )
         assert [(r.rmse, r.mae) for r in chaotic] == [
             (r.rmse, r.mae) for r in clean
@@ -94,30 +95,10 @@ class TestSupervision:
         shards = sorted(p.name for p in tmp_path.glob("run-*.jsonl"))
         assert any("g1" in name for name in shards)
 
-    def test_kill_plan_keys_on_task_index(self, tmp_path):
-        # Task indexes are arbitrary unique ints, not submission positions.
-        tasks = [
-            small_task(10),
-            small_task(20, method="global-mean"),
-            small_task(30, method="CMF"),
-        ]
-        clean = run_tasks(tasks, workers=2)
-        chaotic = run_tasks(
-            tasks, workers=2, telemetry_dir=tmp_path,
-            kill_plan=WorkerKillPlan([(20, 0)]),
-        )
-        assert [(r.rmse, r.mae) for r in chaotic] == [
-            (r.rmse, r.mae) for r in clean
-        ]
-        events = read_events(tmp_path / "run.jsonl")
-        assert sorted(
-            (e["method"], e["attempt"]) for e in events if e["kind"] == "task"
-        ) == [("CMF", 0), ("global-mean", 1), ("item-mean", 0)]
-
     def test_retries_exhausted_raises(self):
-        plan = WorkerKillPlan([(0, 0), (0, 1)])
+        plan = WorkerFaultPlan([(0, 0, 0), (0, 1, 0)])
         with pytest.raises(ParallelExecutionError, match="giving up"):
-            run_tasks([small_task(0)], workers=2, max_task_retries=1, kill_plan=plan)
+            run_tasks([small_task(0)], workers=2, max_task_retries=1, fault_plan=plan)
 
     def test_task_exception_propagates_without_retry(self):
         with pytest.raises(ParallelExecutionError, match="not retried"):
@@ -160,7 +141,7 @@ class TestCleanup:
         assert live_segments() == frozenset()
 
     def test_no_leaked_segments_after_worker_deaths(self):
-        plan = WorkerKillPlan([(0, 0), (0, 1)])
+        plan = WorkerFaultPlan([(0, 0, 0), (0, 1, 0)])
         with pytest.raises(ParallelExecutionError):
-            run_tasks([small_task(0)], workers=2, max_task_retries=1, kill_plan=plan)
+            run_tasks([small_task(0)], workers=2, max_task_retries=1, fault_plan=plan)
         assert live_segments() == frozenset()

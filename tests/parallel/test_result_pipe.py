@@ -1,12 +1,13 @@
-"""The daemon's per-generation result pipe: frames reassembled in order,
-and a frame torn by a writer killed mid-send never blocks the reader."""
+"""The supervisor's per-generation result pipe: frames reassembled in
+order, and a frame torn by a writer killed mid-send never blocks the
+reader."""
 
 import multiprocessing
 import os
 import pickle
 import struct
 
-from repro.serve.daemon import _ResultPipe
+from repro.parallel.supervisor import _ResultPipe
 
 
 def make_pipe():

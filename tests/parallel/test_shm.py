@@ -103,3 +103,24 @@ class TestLifecycle:
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+    def test_forked_child_never_sweeps_its_parents_segments(self):
+        """A forked child inherits the registry; its exit sweep (run here
+        directly) must leave the parent's segment alone."""
+        import repro.parallel.shm as shm
+
+        pack = ShmPack.publish({"x": np.arange(4.0)}, prefix="repro-test")
+        try:
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - child
+                try:
+                    shm._cleanup_at_exit()
+                finally:
+                    os._exit(0)
+            os.waitpid(pid, 0)
+            attached = attach(pack.ref)
+            assert attached["x"].tolist() == [0.0, 1.0, 2.0, 3.0]
+            attached.close()
+            assert pack.ref.name in live_segments()
+        finally:
+            pack.unlink()

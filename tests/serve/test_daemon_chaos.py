@@ -1,18 +1,21 @@
 """Chaos suite for the daemon: scripted deaths, stalls and poison.
 
 Every fault here is deterministic (repro.faults plans keyed on worker
-slot/generation/batch coordinates), and the acceptance bar is always the
+slot/generation/unit coordinates, one unit per request batch), and the acceptance bar is always the
 same: the daemon may spend latency absorbing a fault, but every ``ok``
 response stays bit-identical to the single-process reference engine, no
 request goes unanswered, and the fleet heals back to full strength.
 """
 
 import os
+import signal
+import time
 
 import pytest
 
-from repro.faults import POISON_USER, ServeKillPlan, SlowWorkerPlan
+from repro.faults import POISON_USER, WorkerFaultPlan
 from repro.obs import load_run_events, render_report, validate_run_file
+from repro.parallel import attach
 from repro.serve import (
     DaemonConfig,
     InferenceEngine,
@@ -58,8 +61,8 @@ class TestScheduledKills:
     ):
         # Slot 0 generation 0 dies on its very first batch: the request is
         # requeued onto the respawned generation and completes exactly.
-        plan = ServeKillPlan([(0, 0, 0)])
-        daemon = make_daemon(trained, kill_plan=plan)
+        plan = WorkerFaultPlan(kills=[(0, 0, 0)])
+        daemon = make_daemon(trained, fault_plan=plan)
         try:
             with ServeClient(daemon.config.host, daemon.port) as client:
                 response = client.request(
@@ -81,8 +84,8 @@ class TestScheduledKills:
         # An IVF recommend runs on one slot; both slots' first generation
         # dies on its first batch, so whichever slot gets the job, the job
         # is requeued onto that slot's respawn and completes exactly.
-        plan = ServeKillPlan([(0, 0, 0), (1, 0, 0)])
-        daemon = make_daemon(trained, kill_plan=plan)
+        plan = WorkerFaultPlan(kills=[(0, 0, 0), (1, 0, 0)])
+        daemon = make_daemon(trained, fault_plan=plan)
         try:
             with ServeClient(daemon.config.host, daemon.port) as client:
                 response = client.request(
@@ -110,8 +113,8 @@ class TestScheduledKills:
     ):
         # Slot 0 dies on its first batch in every generation; with one
         # retry allowed the request must fail loudly, not hang.
-        plan = ServeKillPlan([(0, g, 0) for g in range(4)])
-        daemon = make_daemon(trained, kill_plan=plan, max_retries=1)
+        plan = WorkerFaultPlan(kills=[(0, g, 0) for g in range(4)])
+        daemon = make_daemon(trained, fault_plan=plan, max_retries=1)
         try:
             with ServeClient(daemon.config.host, daemon.port) as client:
                 response = client.request(
@@ -146,16 +149,42 @@ class TestScheduledKills:
         assert stats["workers_alive"] == 2
 
 
+    def test_sigterm_to_a_worker_spares_the_catalog_segment(
+        self, trained, reference, users
+    ):
+        # A forked worker inherits the parent's shm registry and its
+        # SIGTERM sweep; neither may unlink the catalog the fleet shares,
+        # or every respawn would die attaching it.
+        daemon = make_daemon(trained)
+        try:
+            os.kill(daemon._supervisor.pid(0), signal.SIGTERM)
+            deadline = time.monotonic() + 30
+            while daemon.stats()["deaths"] == 0 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert daemon.wait_ready(timeout=30)
+            attach(daemon._pack.ref).close()  # the segment is still there
+            with ServeClient(daemon.config.host, daemon.port) as client:
+                response = client.request(
+                    {"op": "recommend", "user": users[0], "k": 5}, timeout=60
+                )
+            assert response["status"] == "ok"
+            assert response["items"] == wire_items(reference, users[0], 5)
+            stats = daemon.stats()
+        finally:
+            daemon.stop()
+        assert stats["deaths"] == 1
+
+
 class TestStalls:
     def test_watchdog_converts_wedge_into_death(
-        self, trained, reference, users
+        self, trained, reference, users, tmp_path
     ):
         # Slot 0 generation 0 wedges on its first batch far past the stall
         # budget; the watchdog SIGKILLs it and the respawn completes the
         # request bit-identically.
-        plan = SlowWorkerPlan({(0, 0, 0): 60.0})
+        plan = WorkerFaultPlan(stalls={(0, 0, 0): 60.0})
         daemon = make_daemon(
-            trained, slow_plan=plan, stall_timeout_s=0.5
+            trained, fault_plan=plan, stall_timeout_s=0.5, telemetry_dir=str(tmp_path)
         )
         try:
             with ServeClient(daemon.config.host, daemon.port) as client:
@@ -170,6 +199,13 @@ class TestStalls:
         assert stats["stall_kills"] >= 1
         assert stats["deaths"] >= 1
         assert stats["errors"] == 0
+        deaths = [
+            e for e in load_run_events(tmp_path / "run.jsonl")
+            if e["kind"] == "worker_death"
+        ]
+        assert deaths[0]["worker"] == 0 and deaths[0]["generation"] == 0
+        assert deaths[0]["stalled"] is True
+        assert deaths[0]["requeued"] == 1
 
 
 class TestPoison:
@@ -316,7 +352,7 @@ class TestLoadUnderChaos:
 
         # The run's telemetry merged into a schema-valid story.
         stats_file = validate_run_file(tmp_path / "run.jsonl")
-        assert stats_file["kinds"]["daemon_worker_death"] >= 2
+        assert stats_file["kinds"]["worker_death"] == stats["deaths"] >= 2
         events = load_run_events(tmp_path / "run.jsonl")
         text = render_report(events)
         assert "serving daemon" in text

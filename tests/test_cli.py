@@ -275,3 +275,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "schema OK (run-w0g0.jsonl)" in out
         assert "worker utilization" in out
+
+    def test_report_validates_retired_daemon_kinds(self, tmp_path, capsys):
+        """Daemon files written before ``worker_death`` existed still
+        validate, and their deaths, requeues and stall kills still count."""
+        from repro.obs import TelemetrySink
+
+        with TelemetrySink(tmp_path, run_id="serve-old") as sink:
+            sink.emit("daemon_start", workers=2, catalog=10, port=1)
+            sink.emit("daemon_worker_ready", slot=0, generation=0)
+            sink.emit("daemon_stall_kill", slot=0, generation=0, age_seconds=0.5)
+            sink.emit("daemon_worker_death", slot=0, generation=0,
+                      exitcode=-9, requeued=2)
+            sink.emit("daemon_requeue", job=1, slot=0, attempt=1)
+            sink.emit("daemon_stop", received=3, completed=3, shed=0,
+                      timeouts=0, errors=0, deaths=1)
+        assert main(["report", str(tmp_path), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos absorbed: deaths 1 (requeued 2)  stall kills 1" in out

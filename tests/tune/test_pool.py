@@ -1,12 +1,16 @@
 """TaskPool: inline/worker parity, cancellation, preemption, chaos requeue."""
 
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.faults import WorkerKillPlan
+from repro.faults import WorkerFaultPlan
 from repro.obs import merge_shards, read_events, validate_run_file
 from repro.parallel import TaskPool, TaskPoolError
 
@@ -199,20 +203,77 @@ class TestWorkerMode:
 
     def test_worker_death_requeues_task(self, tmp_path):
         telemetry = tmp_path / "telemetry"
-        plan = WorkerKillPlan(kills=[(2, 0)])  # kill task 2's first attempt
-        with TaskPool(2, telemetry_dir=telemetry, kill_plan=plan) as pool:
+        # The first dispatch puts task i on slot i, so this kills task 1's
+        # first attempt.
+        plan = WorkerFaultPlan(kills=[(1, 0, 0)])
+        with TaskPool(2, telemetry_dir=telemetry, fault_plan=plan) as pool:
             indices = [pool.submit(double, v) for v in range(5)]
             outcomes = pool.drain()
         assert [outcomes[i].value for i in indices] == [0, 2, 4, 6, 8]
-        assert outcomes[2].attempt == 1  # reran on the replacement worker
+        assert outcomes[1].attempt == 1  # reran on the replacement worker
         merge_shards(telemetry)
         events = read_events(telemetry / "run.jsonl")
         generations = {e["generation"] for e in events if e["kind"] == "worker_start"}
         assert generations == {0, 1}  # a replacement worker was spawned
 
     def test_retry_budget_exhausted(self):
-        plan = WorkerKillPlan(kills=[(0, 0), (0, 1)])
-        with TaskPool(2, max_task_retries=1, kill_plan=plan) as pool:
+        # The retry goes back to the first free slot: slot 0's respawn.
+        plan = WorkerFaultPlan(kills=[(0, 0, 0), (0, 1, 0)])
+        with TaskPool(2, max_task_retries=1, fault_plan=plan) as pool:
             pool.submit(double, 1)
             with pytest.raises(TaskPoolError, match="giving up"):
                 pool.drain()
+
+
+#: Runs a 2-worker pool whose one task returns a result larger than 1 MiB.
+#: ``Connection._send_bytes`` is patched before the pool forks: the first
+#: large send writes the frame header and half the body, then SIGKILLs its
+#: own process, tearing the frame the parent is reading.
+TORN_FRAME_SCRIPT = """
+import os, signal, struct, sys
+from multiprocessing import connection
+from repro.parallel import TaskPool
+
+marker = sys.argv[1]
+send_bytes = connection.Connection._send_bytes
+
+def tearing_send_bytes(self, buf):
+    size = len(buf)
+    if size > 1 << 20:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return send_bytes(self, buf)  # tear only the first attempt
+        self._send(struct.pack("!i", size) + bytes(buf[: size // 2]))
+        os.kill(os.getpid(), signal.SIGKILL)
+    return send_bytes(self, buf)
+
+connection.Connection._send_bytes = tearing_send_bytes
+
+def big(ctx):
+    return bytes(2 << 20)
+
+with TaskPool(2) as pool:
+    index = pool.submit(big)
+    outcome = pool.drain()[index]
+print(outcome.status, outcome.attempt, len(outcome.value))
+"""
+
+
+class TestTornResultFrame:
+    def test_worker_killed_mid_frame_is_retried(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TORN_FRAME_SCRIPT, str(tmp_path / "torn")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[2] / "src")},
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the pool's workers too
+            proc.communicate()
+            pytest.fail("TaskPool.drain hung on a torn result frame")
+        assert proc.returncode == 0, err
+        assert (tmp_path / "torn").exists()  # the frame really was torn
+        assert out.split() == ["ok", "1", str(2 << 20)]

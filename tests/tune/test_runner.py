@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.faults import WorkerKillPlan
+from repro.faults import WorkerFaultPlan
 from repro.obs import read_events, validate_run_file
 from repro.tune import SearchSpaceError, TuneError, run_tuning, trained_epoch_census
 
@@ -117,7 +117,7 @@ class TestChaos:
         clean = tune(world, tmp_path / "clean", workers=2)
         chaotic = tune(
             world, tmp_path / "chaos", workers=2,
-            kill_plan=WorkerKillPlan(kills=[(1, 0)]),
+            fault_plan=WorkerFaultPlan(kills=[(1, 0, 0)]),
         )
         assert clean.artifact_path.read_bytes() == chaotic.artifact_path.read_bytes()
         _, duplicates = trained_epoch_census(chaotic.telemetry_dir)
