@@ -22,9 +22,19 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import baselines, core, data, eval, nn, obs, serve, text
+import importlib
 
 __all__ = [
     "nn", "text", "data", "core", "baselines", "eval", "obs", "serve",
     "__version__",
 ]
+
+_SUBPACKAGES = frozenset(__all__) - {"__version__"}
+
+
+def __getattr__(name):
+    """Import a subpackage on first access (PEP 562): ``import repro.data``
+    then pays for ``repro.data`` and what it imports, not for all eight."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -56,18 +56,21 @@ class PTUPCDR(BaselineRecommender):
         self._dataset: CrossDomainDataset | None = None
 
     # ------------------------------------------------------------------
-    def _characteristics(self, user_id: str) -> np.ndarray | None:
-        """Attention-weighted mean of the user's source item factors."""
+    def _feature_rows(self, user_id: str) -> np.ndarray | None:
+        """``[item_vector, rating / 5]`` per source review of the user."""
         assert self._dataset is not None
-        reviews = self._dataset.source.reviews_of_user(user_id)
         rows = []
-        for review in reviews:
+        for review in self._dataset.source.reviews_of_user(user_id):
             vec = self.source_mf.item_vector(review.item_id)
             if vec is not None:
                 rows.append(np.concatenate([vec, [review.rating / 5.0]]))
-        if not rows:
+        return np.stack(rows) if rows else None
+
+    def _characteristics(self, user_id: str) -> np.ndarray | None:
+        """Attention-weighted mean of the user's source item factors."""
+        features = self._feature_rows(user_id)
+        if features is None:
             return None
-        features = np.stack(rows)
         if self._attention is None:
             return features[:, :-1].mean(axis=0)
         with nn.no_grad():
@@ -121,6 +124,19 @@ class PTUPCDR(BaselineRecommender):
         by_user: dict[str, list[tuple[np.ndarray, float]]] = {u: [] for u in users}
         for user, q, residual, _ in samples:
             by_user[user].append((q, residual))
+        # Only the attention and meta networks train: each user's source
+        # feature rows, p_s, target item factors and residuals are fixed by
+        # the fitted MFs, so they are built once, not once per meta epoch.
+        frozen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        for user in users:
+            features = self._feature_rows(user)
+            if features is not None:
+                frozen[user] = (
+                    features,
+                    self.source_mf.user_vector(user),
+                    np.stack([q for q, _ in by_user[user]]),
+                    np.array([r for _, r in by_user[user]]),
+                )
 
         for _ in range(self.meta_epochs):
             rng.shuffle(users)
@@ -128,15 +144,13 @@ class PTUPCDR(BaselineRecommender):
             total: nn.Tensor | None = None
             count = 0
             for user in users:
-                chars = self._characteristics_train(user)
-                p_s = self.source_mf.user_vector(user)
-                if chars is None or p_s is None:
+                if user not in frozen:
                     continue
+                features, p_s, qs, residuals = frozen[user]
+                chars = self._characteristics_train(features)
                 w_flat = self._meta(chars)
                 w = w_flat.reshape(k, k)
                 p_t = w @ nn.Tensor(p_s)
-                qs = np.stack([q for q, _ in by_user[user]])
-                residuals = np.array([r for _, r in by_user[user]])
                 preds = nn.Tensor(qs) @ p_t
                 err = preds - nn.Tensor(residuals)
                 loss = (err * err).sum()
@@ -151,17 +165,9 @@ class PTUPCDR(BaselineRecommender):
         self._meta.eval()
         return self
 
-    def _characteristics_train(self, user_id: str) -> nn.Tensor | None:
-        """Differentiable characteristics encoding (training path)."""
-        assert self._dataset is not None and self._attention is not None
-        rows = []
-        for review in self._dataset.source.reviews_of_user(user_id):
-            vec = self.source_mf.item_vector(review.item_id)
-            if vec is not None:
-                rows.append(np.concatenate([vec, [review.rating / 5.0]]))
-        if not rows:
-            return None
-        features = np.stack(rows)
+    def _characteristics_train(self, features: np.ndarray) -> nn.Tensor:
+        """Differentiable characteristics encoding of feature rows (training path)."""
+        assert self._attention is not None
         scores = self._attention(nn.Tensor(features)).reshape(1, -1)
         weights = nn.functional.softmax(scores, axis=-1)
         return (weights @ nn.Tensor(features[:, :-1])).reshape(-1)

@@ -169,9 +169,17 @@ DATASET_PROFILES: dict[str, GeneratorConfig] = {
 # ---------------------------------------------------------------------------
 def _sample_ratings_curve(affinity: float, user_bias: float, item_bias: float,
                           noise: float, scale: float) -> float:
-    """Map latent affinity to a 1..5 star rating."""
+    """Map latent affinity to a 1..5 star rating.
+
+    Plain float arithmetic: ``round`` rounds half to even, like ``np.rint``.
+    """
     raw = 3.0 + scale * affinity + user_bias + item_bias + noise
-    return float(np.clip(np.rint(raw), 1, 5))
+    return float(min(max(round(raw), 1), 5))
+
+
+def _draw_words(rng: np.random.Generator, lexicon: list[str], size: int) -> list[str]:
+    """``size`` uniform draws from ``lexicon`` in one ``rng.integers`` call."""
+    return [lexicon[i] for i in rng.integers(0, len(lexicon), size=size).tolist()]
 
 
 def _compose_summary(
@@ -183,19 +191,24 @@ def _compose_summary(
     domain: str,
     config: GeneratorConfig,
 ) -> str:
-    """Short topical summary: topic words + sentiment words + domain words."""
+    """Short topical summary: topic words + sentiment words + domain words.
+
+    Each word costs the bit-generator calls ``Generator.choice`` would make
+    for it (DESIGN.md §2), without ``choice``'s per-call argument checks: a
+    weighted topic is one ``rng.random()`` looked up in the blend's CDF,
+    built once per review, and a uniform word is one ``rng.integers``.
+    """
     blend = item_topics * (0.5 + user_prefs)
     blend = blend / blend.sum()
+    cdf = blend.cumsum()
+    cdf /= cdf[-1]
     words: list[str] = []
     for _ in range(config.summary_topic_words):
-        topic = topic_names[int(rng.choice(len(topic_names), p=blend))]
-        words.append(str(rng.choice(TOPICS[topic])))
-    words.extend(
-        str(w) for w in rng.choice(SENTIMENT[rating], size=config.summary_sentiment_words)
-    )
-    words.extend(
-        str(w) for w in rng.choice(DOMAIN_WORDS[domain], size=config.summary_domain_words)
-    )
+        topic = topic_names[int(cdf.searchsorted(rng.random(), side="right"))]
+        lexicon = TOPICS[topic]
+        words.append(lexicon[rng.integers(len(lexicon))])
+    words += _draw_words(rng, SENTIMENT[rating], config.summary_sentiment_words)
+    words += _draw_words(rng, DOMAIN_WORDS[domain], config.summary_domain_words)
     rng.shuffle(words)
     return " ".join(words)
 
@@ -203,8 +216,8 @@ def _compose_summary(
 def _compose_text(rng: np.random.Generator, summary: str, config: GeneratorConfig,
                   domain: str) -> str:
     """Longer noisy body: the summary diluted with filler and domain words."""
-    extra = [str(w) for w in rng.choice(FILLER_WORDS, size=config.text_extra_words)]
-    extra.extend(str(w) for w in rng.choice(DOMAIN_WORDS[domain], size=3))
+    extra = _draw_words(rng, FILLER_WORDS, config.text_extra_words)
+    extra += _draw_words(rng, DOMAIN_WORDS[domain], 3)
     body = summary.split() + extra
     rng.shuffle(body)
     return " ".join(body)
@@ -293,8 +306,8 @@ def generate_domain_pair(
             for z, item_index in zip(centered, chosen):
                 rating = _sample_ratings_curve(
                     float(z),
-                    user_bias[user_index],
-                    item_bias[item_index],
+                    float(user_bias[user_index]),
+                    float(item_bias[item_index]),
                     float(rng.normal(0.0, config.rating_noise_std)),
                     config.affinity_scale,
                 )
@@ -339,9 +352,10 @@ def scale_target_catalog(
     :meth:`repro.data.DocumentStore.with_dataset` to serve the grown
     catalog through a trained model's frozen vocabulary.
 
-    Unlike :func:`generate_domain_pair`, composition here is vectorized
-    (one word-table gather per lexicon instead of per-review ``rng.choice``
-    calls), which is what makes 10^5-10^6-item catalogs practical to
+    Unlike :func:`generate_domain_pair`, which composes one review at a
+    time with a few bit-generator calls each, composition here is
+    vectorized: one word-table gather per word slot across all new
+    reviews, which is what makes 10^5-10^6-item catalogs practical to
     synthesize; full texts reuse the summaries since only summaries feed
     item documents. Deterministic in ``(dataset sizes, extra_items,
     reviews_per_item, seed)``.

@@ -40,10 +40,12 @@ for the same purpose).
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import secrets
 import signal
 import threading
+import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -91,6 +93,28 @@ atexit.register(_cleanup_at_exit)
 #: Original handlers captured by :func:`install_signal_cleanup`.
 _SIGNAL_PREVIOUS: dict[int, object] = {}
 
+#: Seconds a signal-killed host waits for SIGTERMed workers before SIGKILL.
+_CHILD_GRACE_S = 2.0
+
+
+def _stop_daemonic_children() -> None:  # pragma: no cover - subprocess
+    """SIGTERM this process's daemonic children, wait, then SIGKILL them.
+
+    On a normal exit multiprocessing's own exit handler terminates daemonic
+    children (every supervised worker is one); a signal death under
+    ``SIG_DFL`` skips it, and the workers would outlive their host.
+    """
+    children = [child for child in multiprocessing.active_children() if child.daemon]
+    for child in children:
+        child.terminate()
+    deadline = time.monotonic() + _CHILD_GRACE_S
+    for child in children:
+        child.join(max(0.0, deadline - time.monotonic()))
+    for child in children:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
 
 def _signal_cleanup_handler(signum, frame) -> None:  # pragma: no cover - subprocess
     """Unlink live segments, then resume the signal's previous behavior."""
@@ -101,8 +125,10 @@ def _signal_cleanup_handler(signum, frame) -> None:  # pragma: no cover - subpro
         return
     if previous is signal.SIG_IGN:
         return
-    # SIG_DFL (or unknown): restore the default disposition and re-raise so
-    # the process still dies with the correct termination status.
+    # SIG_DFL (or unknown): stop the workers, restore the default
+    # disposition and re-raise so the process still dies with the correct
+    # termination status.
+    _stop_daemonic_children()
     signal.signal(signum, signal.SIG_DFL)
     os.kill(os.getpid(), signum)
 
@@ -114,8 +140,9 @@ def install_signal_cleanup() -> bool:
     SIGTERM (the default disposition simply terminates the process) would
     leak every segment it published into ``/dev/shm``. This installs
     handlers that run the sweep and then chain to the signal's previous
-    behavior — a prior Python handler is called, ``SIG_DFL`` is restored
-    and the signal re-raised so the exit status stays honest.
+    behavior — a prior Python handler is called; otherwise the daemonic
+    worker processes are stopped, ``SIG_DFL`` is restored and the signal
+    re-raised so the exit status stays honest.
 
     Idempotent. Signal handlers can only be installed from the main
     thread; returns ``True`` when the handlers are (already) in place and

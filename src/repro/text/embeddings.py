@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import svds
 
 from .vocab import Vocabulary
 
@@ -93,6 +92,8 @@ def train_ppmi_svd_embeddings(
         u, s, _ = np.linalg.svd(ppmi.toarray(), full_matrices=False)
         u, s = u[:, :k], s[:k]
     else:
+        from scipy.sparse.linalg import svds  # ~0.1 s to import; only this branch uses it
+
         v0 = rng.normal(size=min(ppmi.shape))
         u, s, _ = svds(ppmi.tocsc().astype(np.float64), k=k, v0=v0)
         # svds returns ascending singular values; flip to descending.

@@ -1,6 +1,13 @@
-"""Package-level contracts: public API surface and docstring coverage."""
+"""Package-level contracts: public API surface, lazy subpackages and
+docstring coverage."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
 import repro.baselines
@@ -31,6 +38,32 @@ class TestPublicSurface:
     def test_packages_have_docstrings(self):
         for package in ALL_PACKAGES:
             assert package.__doc__, package.__name__
+
+
+LAZY_PROBE = """
+import sys
+import repro.data
+print(sorted(m for m in ("repro.serve", "scipy.sparse.linalg") if m in sys.modules))
+import repro
+print(sorted(name for name in repro.__all__ if name != "__version__"
+             and getattr(repro, name).__name__ != "repro." + name))
+"""
+
+
+class TestLazySubpackages:
+    def test_import_loads_only_what_it_uses(self):
+        """``import repro.data`` pulls in neither the serving stack nor
+        ARPACK, yet every subpackage stays reachable as an attribute."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+        ).stdout.splitlines()
+        assert out == ["[]", "[]"]
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            repro.no_such_subpackage
 
 
 class TestDocstringCoverage:
