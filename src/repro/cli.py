@@ -26,7 +26,7 @@ Commands
     (``--workers N``) and print every cell with timing columns.
 ``report``
     Summarize a telemetry file (``run.jsonl``) written by a run with
-    ``--telemetry``: phase time breakdown, health events, final metrics.
+    ``--telemetry``: span table, metrics, health events, final metrics.
     Also accepts a directory of per-worker shards from a parallel run.
 ``tune``
     Distributed hyperparameter search with deterministic successive

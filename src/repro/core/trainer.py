@@ -37,8 +37,8 @@ norm / learning rate land in ``trainer.metrics``
 argument, or an ambient sink installed with :func:`repro.obs.use_sink`),
 ``fit`` streams the whole run as structured events — ``run_start``,
 per-batch ``batch``, per-epoch ``epoch`` (with an RNG-stream checksum),
-every ``health`` entry, checkpoint lifecycle, and a final
-``span_summary`` / ``metrics_summary`` / ``run_end`` — to ``run.jsonl``.
+every ``health`` entry, checkpoint lifecycle, and finally one ``span``
+per traced path, a ``metrics`` snapshot and ``run_end`` — to ``run.jsonl``.
 """
 
 from __future__ import annotations
@@ -403,8 +403,8 @@ class OmniMatchTrainer:
         run streams structured events to ``run.jsonl``; the attached sink
         is also installed as the active sink for the duration, so
         checkpoint I/O events emitted by :mod:`repro.core.checkpoint` land
-        in the same file. The stream ends with ``span_summary`` /
-        ``metrics_summary`` / ``run_end`` events even when training aborts.
+        in the same file. The stream ends with the ``span`` / ``metrics`` /
+        ``run_end`` events even when training aborts.
         """
         with use_sink(self.telemetry):
             return self._fit(
@@ -738,17 +738,19 @@ class OmniMatchTrainer:
 
         Runs from ``fit``'s finally block, so even an aborted run (a crash
         mid-epoch, an exhausted divergence budget) leaves a telemetry file
-        that ends with ``span_summary`` / ``metrics_summary`` / ``run_end``.
+        that ends with one ``span`` per traced path, the ``trainer``
+        ``metrics`` snapshot and ``run_end``.
         """
         summary = self.metrics.snapshot()
         if nn.tensor_stats_enabled():
             summary["gauges"]["tensor_ops"] = repr(nn.tensor_stats())
-        self._emit(
-            "span_summary",
-            totals=self.tracer.totals(),
-            spans=self.tracer.summary(),
-        )
-        self._emit("metrics_summary", **summary)
+        for path, entry in self.tracer.summary().items():
+            self._emit(
+                "span", component="trainer", name=path, calls=entry["calls"],
+                seconds=entry["inclusive_seconds"],
+                exclusive_seconds=entry["exclusive_seconds"],
+            )
+        self._emit("metrics", component="trainer", **summary)
         self._emit("run_end", status=status, epochs_trained=len(history))
         sink = self.telemetry if self.telemetry is not None else get_active_sink()
         if sink is not None:

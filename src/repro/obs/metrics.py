@@ -4,7 +4,7 @@ The :class:`MetricsRegistry` is the in-memory side of the observability
 layer. The trainer feeds it per-batch (loss, gradient norm, learning rate)
 and per-epoch (throughput, validation RMSE, RNG-stream checksum) values;
 at run end its :meth:`~MetricsRegistry.snapshot` is emitted into the
-telemetry stream as one ``metrics_summary`` event.
+telemetry stream as one ``metrics`` event (component ``trainer``).
 
 Design constraints, in order: updates must be cheap enough to sit on the
 training hot path (a dict lookup and a couple of float ops), the state must

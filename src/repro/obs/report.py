@@ -13,9 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
+from .schema import translate_events
 from .telemetry import DEFAULT_FILENAME, read_events
 
 __all__ = ["load_run_events", "summarize_run", "render_report"]
+
+#: Numeric span fields that are not amounts to sum (``calls`` is summed
+#: apart, with its default of 1).
+_NOT_SUMMED = frozenset({"seq", "ts", "calls"})
 
 
 def load_run_events(path: str | os.PathLike) -> list[dict]:
@@ -42,60 +47,39 @@ def load_run_events(path: str | os.PathLike) -> list[dict]:
 def summarize_run(events: list[dict]) -> dict:
     """Aggregate a run's events into one summary dict.
 
-    Keys: ``run`` / ``status`` / ``epochs`` (count) / ``samples`` /
-    ``seconds`` / ``samples_per_sec`` / ``phases`` (per-phase totals from
-    the final span summary) / ``health`` (counts by health kind) /
-    ``final`` (last epoch's metrics) / ``alloc`` (summed per-epoch
-    allocation counters from the graph optimizer, when the run emitted
-    them) / ``trials`` (evaluation results) / ``checkpoints`` (written
-    count).
+    Events of retired kinds are first read as today's (see
+    :data:`repro.obs.schema.RETIRED_KINDS`). Keys: ``run`` / ``status`` /
+    ``epochs`` (count) / ``samples`` / ``seconds`` / ``samples_per_sec`` /
+    ``spans`` (``{component: {name: row}}``: summed ``calls``, ``seconds``
+    and numeric fields, plus per-call ``p50``/``p95`` when every event of
+    the group is a single call) / ``metrics`` (``{component: latest
+    snapshot}``) / ``health`` (counts by health kind) / ``final`` (last
+    epoch's metrics) / ``alloc`` (summed per-epoch allocation counters from
+    the graph optimizer, when the run emitted them) / ``trials``
+    (evaluation results) / ``checkpoints`` (written count) / ``workers`` /
+    ``tasks`` / ``daemon`` / ``tune``.
     """
     summary: dict = {
-        "run": None,
+        "run": next((event["run"] for event in events if "run" in event), None),
         "status": None,
         "epochs": 0,
         "samples": 0.0,
         "seconds": 0.0,
         "samples_per_sec": 0.0,
-        "phases": {},
         "spans": {},
+        "metrics": {},
         "health": {},
         "final": {},
         "alloc": None,
-        "metrics": {},
         "trials": [],
         "experiments": [],
         "checkpoints": 0,
         "workers": {},
         "tasks": {"ok": 0, "error": 0},
-        "serving": {
-            "score_calls": 0,
-            "pairs": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "hit_rate": 0.0,
-            "score_seconds": [],
-            "score_p50": 0.0,
-            "score_p95": 0.0,
-            "pairs_per_sec": 0.0,
-            "recommend_calls": 0,
-            "items_ranked": 0,
-            "items_per_sec": 0.0,
-            "index_items": 0,
-            "users_encoded": 0,
-        },
         "daemon": {
             "started": False,
             "workers": 0,
             "catalog": 0,
-            "received": 0,
-            "completed": 0,
-            "shed": 0,
-            "timeouts": 0,
-            "errors": 0,
-            "deaths": 0,
-            "requeues": 0,
-            "stall_kills": 0,
             "degrades": 0,
             "max_level": 0,
             "truncated_shards": [],
@@ -107,29 +91,38 @@ def summarize_run(events: list[dict]) -> dict:
             "best_trial": None,
             "best_rmse": None,
         },
-        "ann": {
-            "builds": 0,
-            "nlist": 0,
-            "store": None,
-            "store_bytes": 0,
-            "float32_bytes": 0,
-            "build_seconds": 0.0,
-            "probes": 0,
-            "candidates": 0,
-            "catalog_scanned": 0,
-            "probe_seconds": [],
-            "probe_p50": 0.0,
-            "probe_p95": 0.0,
-            "scan_fraction": 0.0,
-            "recall": None,
-            "recall_k": None,
-        },
     }
-    for event in events:
+    # Per-call seconds of each span group, or None once a multi-call event
+    # joined it; and one entry per dead (run, worker, generation).
+    call_seconds: dict[tuple, list[float] | None] = {}
+    deaths: dict[tuple, list] = {}
+    for event in translate_events(events):
         kind = event.get("kind")
-        if summary["run"] is None and "run" in event:
-            summary["run"] = event["run"]
-        if kind == "epoch":
+        if kind == "span":
+            component, name = event["component"], event["name"]
+            row = summary["spans"].setdefault(component, {}).setdefault(
+                name, {"calls": 0, "seconds": 0.0}
+            )
+            calls = event.get("calls", 1)
+            row["calls"] += calls
+            for key, value in event.items():
+                if (
+                    key not in _NOT_SUMMED
+                    and isinstance(value, (int, float))
+                    and not isinstance(value, bool)
+                ):
+                    row[key] = row.get(key, 0) + value
+            group = (component, name)
+            seconds = call_seconds.setdefault(group, [])
+            if seconds is not None and calls == 1:
+                seconds.append(float(event["seconds"]))
+            else:
+                call_seconds[group] = None
+        elif kind == "metrics":
+            summary["metrics"][event["component"]] = {
+                key: event[key] for key in ("counters", "gauges", "histograms")
+            }
+        elif kind == "epoch":
             summary["epochs"] += 1
             summary["samples"] += event.get("samples", 0)
             summary["seconds"] += event.get("seconds", 0.0)
@@ -152,15 +145,6 @@ def summarize_run(events: list[dict]) -> dict:
         elif kind == "health":
             name = event.get("health_kind", "unknown")
             summary["health"][name] = summary["health"].get(name, 0) + 1
-        elif kind == "span_summary":
-            summary["phases"] = event.get("totals", {})
-            summary["spans"] = event.get("spans", {})
-        elif kind == "metrics_summary":
-            summary["metrics"] = {
-                "counters": event.get("counters", {}),
-                "gauges": event.get("gauges", {}),
-                "histograms": event.get("histograms", {}),
-            }
         elif kind == "run_end":
             summary["status"] = event.get("status")
         elif kind == "checkpoint_write":
@@ -195,61 +179,22 @@ def summarize_run(events: list[dict]) -> dict:
         elif kind == "task":
             status = event.get("status", "ok")
             summary["tasks"][status] = summary["tasks"].get(status, 0) + 1
-        elif kind == "serve_score":
-            serving = summary["serving"]
-            serving["score_calls"] += 1
-            serving["pairs"] += event.get("pairs", 0)
-            serving["cache_hits"] += event.get("cache_hits", 0)
-            serving["cache_misses"] += event.get("cache_misses", 0)
-            serving["score_seconds"].append(float(event.get("seconds", 0.0)))
-        elif kind == "serve_recommend":
-            serving = summary["serving"]
-            serving["recommend_calls"] += 1
-            serving["items_ranked"] += event.get("catalog", 0)
-            serving["score_seconds"].append(float(event.get("seconds", 0.0)))
-        elif kind == "serve_index":
-            summary["serving"]["index_items"] += event.get("items", 0)
-        elif kind == "serve_encode_users":
-            summary["serving"]["users_encoded"] += event.get("users", 0)
-        elif kind == "serve_ann_build":
-            ann = summary["ann"]
-            ann["builds"] += 1
-            ann["nlist"] = event.get("nlist", 0)
-            ann["store"] = event.get("store")
-            ann["store_bytes"] = event.get("store_bytes", 0)
-            ann["float32_bytes"] = event.get("float32_bytes", 0)
-            ann["build_seconds"] += float(event.get("seconds", 0.0))
-        elif kind == "serve_ann_probe":
-            ann = summary["ann"]
-            ann["probes"] += 1
-            ann["candidates"] += event.get("candidates", 0)
-            ann["catalog_scanned"] += event.get("catalog", 0)
-            ann["probe_seconds"].append(float(event.get("seconds", 0.0)))
-        elif kind == "serve_ann_recall":
-            summary["ann"]["recall"] = event.get("recall")
-            summary["ann"]["recall_k"] = event.get("k")
         elif kind == "daemon_start":
             daemon = summary["daemon"]
             daemon["started"] = True
             daemon["workers"] = event.get("workers", 0)
             daemon["catalog"] = event.get("catalog", 0)
-        elif kind in ("worker_death", "daemon_worker_death"):
-            daemon = summary["daemon"]
-            daemon["deaths"] += 1
-            daemon["requeues"] += event.get("requeued", 0)
-            daemon["stall_kills"] += bool(event.get("stalled", False))
-        elif kind == "daemon_stall_kill":  # files written before worker_death
-            summary["daemon"]["stall_kills"] += 1
+        elif kind == "worker_death":
+            death = deaths.setdefault(
+                (event.get("run"), event.get("worker"), event.get("generation")),
+                [0, False],
+            )
+            death[0] += event.get("requeued", 0)
+            death[1] = death[1] or bool(event.get("stalled", False))
         elif kind == "daemon_degrade":
             daemon = summary["daemon"]
             daemon["degrades"] += 1
             daemon["max_level"] = max(daemon["max_level"], event.get("level", 0))
-        elif kind in ("daemon_stats", "daemon_stop"):
-            # Counters are cumulative: the latest event wins.
-            daemon = summary["daemon"]
-            daemon["started"] = True
-            for key in ("received", "completed", "shed", "timeouts", "errors"):
-                daemon[key] = event.get(key, daemon[key])
         elif kind == "tune_trial":
             tune = summary["tune"]
             entry = tune["trials"].setdefault(
@@ -287,30 +232,27 @@ def summarize_run(events: list[dict]) -> dict:
             summary["daemon"]["dropped_lines"] = event.get("dropped_lines", 0)
     if summary["seconds"] > 0:
         summary["samples_per_sec"] = summary["samples"] / summary["seconds"]
-    serving = summary["serving"]
-    lookups = serving["cache_hits"] + serving["cache_misses"]
-    if lookups:
-        serving["hit_rate"] = serving["cache_hits"] / lookups
-    if serving["score_seconds"]:
-        latencies = np.asarray(serving["score_seconds"], dtype=np.float64)
-        serving["score_p50"] = float(np.percentile(latencies, 50))
-        serving["score_p95"] = float(np.percentile(latencies, 95))
-        total_seconds = float(latencies.sum())
-        if total_seconds > 0:
-            serving["pairs_per_sec"] = serving["pairs"] / total_seconds
-            serving["items_per_sec"] = serving["items_ranked"] / total_seconds
-    ann = summary["ann"]
-    if ann["probe_seconds"]:
-        latencies = np.asarray(ann["probe_seconds"], dtype=np.float64)
-        ann["probe_p50"] = float(np.percentile(latencies, 50))
-        ann["probe_p95"] = float(np.percentile(latencies, 95))
-    if ann["catalog_scanned"]:
-        ann["scan_fraction"] = ann["candidates"] / ann["catalog_scanned"]
+    for (component, name), seconds in call_seconds.items():
+        if seconds:
+            row = summary["spans"][component][name]
+            row["p50"] = float(np.percentile(seconds, 50))
+            row["p95"] = float(np.percentile(seconds, 95))
+    daemon = summary["daemon"]
+    daemon["deaths"] = len(deaths)
+    daemon["requeues"] = sum(requeued for requeued, _ in deaths.values())
+    daemon["stall_kills"] = sum(stalled for _, stalled in deaths.values())
     return summary
 
 
-def _format_seconds(seconds: float) -> str:
-    return f"{seconds:8.3f}s"
+def _format_fields(fields: dict) -> str:
+    """``  name=value`` pairs in name order (fractions to 4 significant
+    digits; counters kept as floats print as integers)."""
+    parts = []
+    for key, value in sorted(fields.items()):
+        if isinstance(value, float):
+            value = int(value) if value.is_integer() else f"{value:.4g}"
+        parts.append(f"  {key}={value}")
+    return "".join(parts)
 
 
 def _format_bytes(count: float) -> str:
@@ -332,25 +274,43 @@ def render_report(events: list[dict]) -> str:
         f"throughput: {summary['samples_per_sec']:.1f} samples/s",
     ]
 
-    if summary["phases"]:
-        # Share is relative to total traced wall-clock (the sum of top-level
-        # spans), so a parent like ``epoch`` reads ~100% and its nested
-        # phases read as fractions of it — not a double-counting sum.
-        top_level = [
-            entry["inclusive_seconds"]
-            for path, entry in summary["spans"].items()
-            if "/" not in path
-        ]
-        total = sum(top_level) if top_level else sum(summary["phases"].values())
+    if summary["spans"]:
         lines.append("")
-        lines.append("phase time breakdown")
-        width = max(len(name) for name in summary["phases"])
-        for name, seconds in sorted(
-            summary["phases"].items(), key=lambda kv: -kv[1]
-        ):
-            share = 100.0 * seconds / total if total > 0 else 0.0
+        lines.append("spans (calls, seconds, per-call p50/p95, summed counts)")
+        rows = [
+            (component, name, row)
+            for component, names in sorted(summary["spans"].items())
+            for name, row in sorted(names.items())
+        ]
+        widths = [max(len(row[i]) for row in rows) for i in (0, 1)]
+        for component, name, row in rows:
+            text = (
+                f"  {component:<{widths[0]}s}  {name:<{widths[1]}s} "
+                f"{row['calls']:6d} {row['seconds']:8.3f}s"
+            )
+            if "p50" in row:
+                text += (
+                    f"  p50 {row['p50'] * 1000.0:.1f}ms"
+                    f"  p95 {row['p95'] * 1000.0:.1f}ms"
+                )
+            counts = {
+                key: value for key, value in row.items()
+                if key not in ("calls", "seconds", "p50", "p95")
+            }
+            lines.append(text + _format_fields(counts))
+
+    for component, snapshot in sorted(summary["metrics"].items()):
+        lines.append("")
+        lines.append(f"metrics: {component}")
+        for section in ("counters", "gauges"):
+            if snapshot[section]:
+                lines.append(f"  {section}:" + _format_fields(snapshot[section]))
+        for name, hist in sorted(snapshot["histograms"].items()):
             lines.append(
-                f"  {name:<{width}s} {_format_seconds(seconds)} {share:5.1f}%"
+                f"  histogram {name}: n={hist.get('count', 0)}"
+                + "".join(
+                    f"  {key} {hist[key]:.4g}" for key in ("p50", "p95") if key in hist
+                )
             )
 
     if summary["health"]:
@@ -413,33 +373,6 @@ def render_report(events: list[dict]) -> str:
                 f"tasks {stats['tasks_done']}  "
                 f"utilization {100.0 * stats['utilization']:.1f}%"
             )
-
-    serving = summary["serving"]
-    if serving["score_calls"] or serving["recommend_calls"]:
-        lines.append("")
-        lookups = serving["cache_hits"] + serving["cache_misses"]
-        lines.append(
-            f"serving engine ({serving['score_calls']} score calls, "
-            f"{serving['recommend_calls']} recommend calls)"
-        )
-        lines.append(
-            f"  pairs scored {serving['pairs']}  "
-            f"cache hits {serving['cache_hits']}/{lookups} "
-            f"({100.0 * serving['hit_rate']:.1f}%)"
-        )
-        lines.append(
-            f"  latency p50 {serving['score_p50'] * 1000.0:.1f}ms  "
-            f"p95 {serving['score_p95'] * 1000.0:.1f}ms  "
-            f"throughput {serving['pairs_per_sec']:.0f} pairs/s"
-        )
-        if serving["recommend_calls"]:
-            lines.append(
-                f"  catalog ranking: {serving['items_ranked']} items "
-                f"({serving['items_per_sec']:.0f} items/s)  "
-                f"index encodes {serving['index_items']}"
-            )
-        if serving["users_encoded"]:
-            lines.append(f"  users pre-encoded: {serving['users_encoded']}")
 
     tune = summary["tune"]
     if tune["trials"]:
@@ -504,49 +437,12 @@ def render_report(events: list[dict]) -> str:
                 "  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
             )
 
-    ann = summary["ann"]
-    if ann["builds"] or ann["probes"]:
-        lines.append("")
-        lines.append(
-            f"ann retrieval ({ann['builds']} index builds, "
-            f"{ann['probes']} probes)"
-        )
-        if ann["builds"]:
-            ratio = (
-                ann["float32_bytes"] / ann["store_bytes"]
-                if ann["store_bytes"]
-                else 0.0
-            )
-            lines.append(
-                f"  coarse index: nlist {ann['nlist']}  "
-                f"store {ann['store'] or '?'} "
-                f"({ann['store_bytes']} bytes, {ratio:.1f}x vs float32)  "
-                f"build {ann['build_seconds']:.2f}s"
-            )
-        if ann["probes"]:
-            lines.append(
-                f"  candidates scored: {ann['candidates']}/"
-                f"{ann['catalog_scanned']} catalog rows "
-                f"({100.0 * ann['scan_fraction']:.1f}% scanned)  "
-                f"probe p50 {ann['probe_p50'] * 1000.0:.1f}ms  "
-                f"p95 {ann['probe_p95'] * 1000.0:.1f}ms"
-            )
-        if ann["recall"] is not None:
-            lines.append(
-                f"  measured recall@{ann['recall_k']}: {ann['recall']:.3f}"
-            )
-
     daemon = summary["daemon"]
     if daemon["started"]:
         lines.append("")
         lines.append(
             f"serving daemon ({daemon['workers']} workers, "
             f"catalog {daemon['catalog']})"
-        )
-        lines.append(
-            f"  requests {daemon['received']}  ok {daemon['completed']}  "
-            f"shed {daemon['shed']}  timeouts {daemon['timeouts']}  "
-            f"errors {daemon['errors']}"
         )
         if daemon["deaths"] or daemon["stall_kills"] or daemon["degrades"]:
             lines.append(

@@ -488,16 +488,9 @@ class RecommendDaemon:
             self._supervisor.stop()
         for conn in list(self._connections):
             conn.close()
+        with self._lock:
+            self._emit_stats()
         snapshot = self.stats()
-        self._emit(
-            "daemon_stop",
-            received=snapshot["received"],
-            completed=snapshot["completed"],
-            shed=snapshot["shed"],
-            timeouts=snapshot["timeouts"],
-            errors=snapshot["errors"],
-            deaths=snapshot["deaths"],
-        )
         if self._sink is not None:
             self._sink.close()
             try:
@@ -988,15 +981,18 @@ class RecommendDaemon:
             self._level = level
 
     def _emit_stats(self) -> None:
+        """One cumulative ``metrics`` snapshot (caller holds the lock)."""
+        if self._sink is None:
+            return
         self._emit(
-            "daemon_stats",
-            received=self._counters["received"],
-            completed=self._counters["completed"],
-            shed=self._counters["shed"],
-            timeouts=self._counters["timeouts"],
-            errors=self._counters["errors"],
-            depth=len(self._intake) + len(self._outstanding),
-            level=self._level,
+            "metrics",
+            component="daemon",
+            counters=dict(self._counters),
+            gauges={
+                "depth": len(self._intake) + len(self._outstanding),
+                "level": self._level,
+            },
+            histograms={},
         )
 
 

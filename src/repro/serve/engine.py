@@ -28,10 +28,12 @@ matrix (``repro.serve.ann``) shortlists the inverted lists of the
 rating head, so candidate scores stay bit-identical to brute force and
 ``nprobe >= nlist`` *is* the exact path.
 
-Observability: the engine keeps cache hit/miss/eviction counters and
-per-stage latency histograms in a :class:`~repro.obs.MetricsRegistry`, and
-emits ``serve_*`` telemetry events (rendered by ``repro report``) to an
-explicit sink or the ambient one installed via ``repro.obs.use_sink``.
+Observability: each index build, user encode, score, recommend and IVF
+probe is one ``span`` event (components ``serve.engine`` and
+``serve.ann``, rendered by ``repro report``) sent to an explicit sink or
+the ambient one installed via ``repro.obs.use_sink``; with neither, the
+engine builds no event at all. Cache and encode counts are plain ints on
+:attr:`users` and :attr:`items`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .. import nn
-from ..obs import MetricsRegistry, get_active_sink
+from ..obs import get_active_sink
 from .ann import DEFAULT_ITERS, DEFAULT_NPROBE, IVFIndex, default_nlist
 from .blocking import (
     DEFAULT_BLOCK,
@@ -173,15 +175,9 @@ class InferenceEngine:
         self.out_dtype = np.dtype(self.model.config.dtype)
         self.blend = self.model.config.cold_inference in ("blend", "dual")
         self.telemetry = telemetry
-        self.metrics = MetricsRegistry()
         self.docs = ColdStartDocuments(result, store=self.store)
-        self.items = ItemIndex(
-            self.model, self.store, catalog=catalog,
-            block=batch_size, metrics=self.metrics,
-        )
-        self.users = UserReprCache(
-            self._encode_users, capacity=cache_capacity, metrics=self.metrics
-        )
+        self.items = ItemIndex(self.model, self.store, catalog=catalog, block=batch_size)
+        self.users = UserReprCache(self._encode_users, capacity=cache_capacity)
         self.retrieval = retrieval
         self.nlist = nlist
         self.nprobe = nprobe if nprobe is not None else DEFAULT_NPROBE
@@ -199,13 +195,9 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Telemetry plumbing
     # ------------------------------------------------------------------
-    def _emit(self, kind: str, **fields) -> None:
-        sink = self.telemetry if self.telemetry is not None else get_active_sink()
-        if sink is not None:
-            sink.emit(kind, **fields)
-
-    def _cache_counters(self) -> tuple[int, int]:
-        return self.users.hits, self.users.misses
+    def _sink(self):
+        """The explicit sink, else the ambient one (None: emit nothing)."""
+        return self.telemetry if self.telemetry is not None else get_active_sink()
 
     # ------------------------------------------------------------------
     # Encoding
@@ -214,7 +206,6 @@ class InferenceEngine:
         """Stacked rating-head inputs for ``user_ids`` (one pass per
         extractor tower in ``USER_BLOCK``-row blocks, then the mode-specific
         combination of Eq. 18)."""
-        start = time.perf_counter()
         target_docs = np.stack([self.docs.target_doc(u) for u in user_ids])
         with inference_mode(self.model):
             target_inv, target_spec = encode_blocked(
@@ -244,20 +235,18 @@ class InferenceEngine:
                 nn.Tensor(target_spec),
             )
             invariant, user_repr = invariant.data, user_repr.data
-        self.metrics.inc("serve.users_encoded", len(user_ids))
-        self.metrics.observe(
-            "serve.encode_users_seconds", time.perf_counter() - start
-        )
         return invariant, user_repr
 
     def warm(self, user_ids: Iterable[str]) -> int:
         """Pre-encode a user cohort; returns how many were newly encoded."""
         start = time.perf_counter()
         encoded = self.users.warm(user_ids)
-        self._emit(
-            "serve_encode_users",
-            users=encoded, seconds=time.perf_counter() - start,
-        )
+        sink = self._sink()
+        if sink is not None:
+            sink.emit(
+                "span", component="serve.engine", name="encode_users",
+                seconds=time.perf_counter() - start, users=encoded,
+            )
         return encoded
 
     def build_index(self) -> int:
@@ -267,11 +256,12 @@ class InferenceEngine:
         start = time.perf_counter()
         self.items.build()
         encoded = self.items.encoded_count - before
-        if encoded:
-            self._emit(
-                "serve_index",
-                items=encoded, catalog=len(self.items),
+        sink = self._sink() if encoded else None
+        if sink is not None:
+            sink.emit(
+                "span", component="serve.engine", name="index",
                 seconds=time.perf_counter() - start,
+                items=encoded, catalog=len(self.items),
             )
         return encoded
 
@@ -319,7 +309,7 @@ class InferenceEngine:
         """
         pairs = list(pairs)
         start = time.perf_counter()
-        hits_before, misses_before = self._cache_counters()
+        hits_before, misses_before = self.users.hits, self.users.misses
         if pairs:
             user_ids = [u for u, _ in pairs]
             # Cache lookups per batch_size pairs keep the stacked user rows
@@ -342,18 +332,14 @@ class InferenceEngine:
             )
         else:
             out = np.empty(0, dtype=self.out_dtype)
-        seconds = time.perf_counter() - start
-        hits_after, misses_after = self._cache_counters()
-        self.metrics.inc("serve.pairs_scored", len(pairs))
-        self.metrics.observe("serve.score_seconds", seconds)
-        if seconds > 0:
-            self.metrics.observe("serve.pairs_per_sec", len(pairs) / seconds)
-        self._emit(
-            "serve_score",
-            pairs=len(pairs), seconds=seconds,
-            cache_hits=hits_after - hits_before,
-            cache_misses=misses_after - misses_before,
-        )
+        sink = self._sink()
+        if sink is not None:
+            sink.emit(
+                "span", component="serve.engine", name="score",
+                seconds=time.perf_counter() - start, pairs=len(pairs),
+                cache_hits=self.users.hits - hits_before,
+                cache_misses=self.users.misses - misses_before,
+            )
         return out
 
     # ------------------------------------------------------------------
@@ -401,15 +387,17 @@ class InferenceEngine:
             )
             self._ann, self._ann_key = index, key
             stats = index.stats
-            self.metrics.inc("serve.ann_builds")
-            self.metrics.observe("serve.ann_build_seconds", stats.seconds)
-            self._emit(
-                "serve_ann_build",
-                items=stats.items, nlist=stats.nlist, iters=stats.iters_run,
-                store=stats.store, seconds=stats.seconds,
-                store_bytes=stats.store_bytes,
-                float32_bytes=stats.float32_bytes,
-            )
+            sink = self._sink()
+            if sink is not None:
+                # Read as span("serve.ann", "build") through the retired-kind
+                # table; the name stays while perfbench's trace reader uses it.
+                sink.emit(
+                    "serve_ann_build",
+                    items=stats.items, nlist=stats.nlist, iters=stats.iters_run,
+                    store=stats.store, seconds=stats.seconds,
+                    store_bytes=stats.store_bytes,
+                    float32_bytes=stats.float32_bytes,
+                )
         return self._ann
 
     def _probe(
@@ -437,7 +425,8 @@ class InferenceEngine:
     ) -> float:
         """Mean recall@k of IVF retrieval against the exact oracle over
         ``user_ids`` (1.0 when every approximate top-k matches). Emits a
-        ``serve_ann_recall`` telemetry event."""
+        ``metrics`` event for component ``serve.ann`` (gauges ``recall``,
+        ``k``, ``users``, ``nprobe``)."""
         user_ids = list(user_ids)
         if not user_ids:
             raise ValueError("measure_recall needs at least one user")
@@ -452,11 +441,15 @@ class InferenceEngine:
             }
             recalls.append(len(exact & approx) / len(exact))
         recall = float(np.mean(recalls)) if recalls else 1.0
-        self._emit(
-            "serve_ann_recall",
-            users=len(user_ids), k=k, recall=recall,
-            nprobe=nprobe if nprobe is not None else self.nprobe,
-        )
+        sink = self._sink()
+        if sink is not None:
+            sink.emit(
+                "metrics", component="serve.ann", counters={}, histograms={},
+                gauges={
+                    "recall": recall, "k": k, "users": len(user_ids),
+                    "nprobe": nprobe if nprobe is not None else self.nprobe,
+                },
+            )
         return recall
 
     # ------------------------------------------------------------------
@@ -504,15 +497,13 @@ class InferenceEngine:
             probe_start = time.perf_counter()
             slots = self._probe(index, invariant, user_repr, probes)
             scores = self._score_user_rows(invariant, user_repr, reprs, slots)
-            probe_seconds = time.perf_counter() - probe_start
-            self.metrics.inc("serve.ann_probes")
-            self.metrics.observe("serve.ann_candidates", float(len(slots)))
-            self._emit(
-                "serve_ann_probe",
-                user=user_id, k=k, nprobe=probes, nlist=index.nlist,
-                candidates=len(slots), catalog=catalog_size,
-                seconds=probe_seconds,
-            )
+            sink = self._sink()
+            if sink is not None:
+                sink.emit(
+                    "span", component="serve.ann", name="probe",
+                    seconds=time.perf_counter() - probe_start,
+                    candidates=len(slots), catalog=catalog_size,
+                )
         else:
             slots = None
             scores = self._score_user_rows(invariant, user_repr, reprs)
@@ -531,15 +522,12 @@ class InferenceEngine:
                     if slot is not None:
                         scores[slot] = -np.inf
         ranked = min(k, int(np.isfinite(scores).sum()))
-        seconds = time.perf_counter() - start
-        self.metrics.observe("serve.recommend_seconds", seconds)
-        if seconds > 0:
-            self.metrics.observe("serve.items_per_sec", catalog_size / seconds)
-        self._emit(
-            "serve_recommend",
-            user=user_id, k=k, catalog=catalog_size, seconds=seconds,
-            retrieval=mode,
-        )
+        sink = self._sink()
+        if sink is not None:
+            sink.emit(
+                "span", component="serve.engine", name="recommend",
+                seconds=time.perf_counter() - start, catalog=catalog_size,
+            )
         if ranked == 0:
             return []
         top = np.argpartition(-scores, ranked - 1)[:ranked]

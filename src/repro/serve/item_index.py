@@ -21,12 +21,10 @@ legacy predictor's behaviour of scoring any item id it is handed.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..obs import MetricsRegistry
 from .blocking import DEFAULT_BLOCK, encode_blocked, inference_mode
 
 __all__ = ["ItemIndex"]
@@ -41,12 +39,13 @@ class ItemIndex:
         store,
         catalog: Sequence[str] | None = None,
         block: int = DEFAULT_BLOCK,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.model = model
         self.store = store
         self.block = block
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Rows pushed through the item extractor so far, overflow items and
+        #: re-encodes after :meth:`invalidate` included.
+        self.items_encoded = 0
         self.item_ids = (
             list(catalog)
             if catalog is not None
@@ -102,7 +101,7 @@ class ItemIndex:
         self._reprs[slots] = reprs
         self._valid[slots] = True
         self._version += 1
-        self.metrics.inc("serve.items_encoded", len(slots))
+        self.items_encoded += len(slots)
 
     def ensure(self, item_ids: Iterable[str]) -> None:
         """Encode any of ``item_ids`` not yet materialized (blocked, in slot
@@ -125,17 +124,13 @@ class ItemIndex:
             reprs = self._encode_docs(docs)
             for item_id, row in zip(extra, reprs):
                 self._overflow[item_id] = row
-            self.metrics.inc("serve.items_encoded", len(extra))
+            self.items_encoded += len(extra)
 
     def build(self) -> np.ndarray:
         """Materialize the full catalog matrix (encode-once; idempotent)."""
         missing = np.flatnonzero(~self._valid)
         if len(missing):
-            start = time.perf_counter()
             self._encode_slots(missing)
-            self.metrics.observe(
-                "serve.index_build_seconds", time.perf_counter() - start
-            )
         elif self._reprs is None:
             # Empty catalog (or one invalidated down to nothing to encode):
             # materialize an explicit (0, d) matrix in the configured compute

@@ -27,8 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..obs import MetricsRegistry
-
 __all__ = ["UserReprCache"]
 
 #: Default maximum resident users.
@@ -42,7 +40,6 @@ class UserReprCache:
         self,
         encode_users: Callable[[Sequence[str]], tuple[np.ndarray, np.ndarray]],
         capacity: int = DEFAULT_CAPACITY,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         """``encode_users`` maps a batch of user ids to the stacked
         ``(invariant, user_repr)`` matrices, one row per user, and must be
@@ -52,7 +49,11 @@ class UserReprCache:
             raise ValueError("capacity must be >= 1")
         self.encode_users = encode_users
         self.capacity = capacity
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Lookups served from a resident row / users encoded by a lookup
+        #: (warming counts neither) / rows dropped by the LRU bound.
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         self._entries: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -61,18 +62,6 @@ class UserReprCache:
 
     def __contains__(self, user_id: str) -> bool:
         return user_id in self._entries
-
-    @property
-    def hits(self) -> int:
-        return int(self.metrics.counter("serve.cache.hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self.metrics.counter("serve.cache.misses"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self.metrics.counter("serve.cache.evictions"))
 
     @property
     def hit_rate(self) -> float:
@@ -85,7 +74,7 @@ class UserReprCache:
         self._entries.move_to_end(user_id)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.metrics.inc("serve.cache.evictions")
+            self.evictions += 1
 
     def _fill(self, user_ids: Sequence[str]) -> None:
         """Encode ``user_ids`` (deduplicated, order-preserving) and insert."""
@@ -127,9 +116,8 @@ class UserReprCache:
             for row, user_id in enumerate(missing):
                 pinned[user_id] = (invariant[row], user_repr[row])
                 self._insert(user_id, invariant[row], user_repr[row])
-        self.metrics.inc("serve.cache.misses", len(missing))
-        if len(user_ids) > len(missing):
-            self.metrics.inc("serve.cache.hits", len(user_ids) - len(missing))
+        self.misses += len(missing)
+        self.hits += len(user_ids) - len(missing)
         invariant_rows = []
         repr_rows = []
         for user_id in user_ids:

@@ -15,7 +15,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .vocab import Vocabulary
 
@@ -26,13 +25,14 @@ def _cooccurrence_counts(
     documents: Iterable[Sequence[str]],
     vocab: Vocabulary,
     window: int,
-) -> coo_matrix:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric within-window co-occurrence counts over the corpus.
 
     One shifted-array pass per offset ``1..window`` over the concatenated
     corpus: the token at position ``t`` pairs with the one at ``t - offset``
     when both sit in the same document and neither is PAD, and each pair
-    is counted in both directions.
+    is counted in both directions. Returns the nonzero cells as ``(rows,
+    cols, counts)`` in row-major order (``counts`` as float64).
     """
     docs = [[vocab.index_of(tok) for tok in doc] for doc in documents]
     ids = np.fromiter(chain.from_iterable(docs), dtype=np.int64)
@@ -48,9 +48,11 @@ def _cooccurrence_counts(
         center, other = ids[offset:][keep], ids[:-offset][keep]
         rows += [center, other]
         cols += [other, center]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
     size = len(vocab)
-    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    cells, counts = np.unique(
+        np.concatenate(rows) * size + np.concatenate(cols), return_counts=True
+    )
+    return cells // size, cells % size, counts.astype(np.float64)
 
 
 def train_ppmi_svd_embeddings(
@@ -68,33 +70,35 @@ def train_ppmi_svd_embeddings(
     """
     if dim < 1:
         raise ValueError("embedding dim must be >= 1")
-    counts = _cooccurrence_counts(documents, vocab, window).tocsr()
+    rows, cols, counts = _cooccurrence_counts(documents, vocab, window)
+    size = len(vocab)
     total = counts.sum()
     if total == 0:
-        return random_embeddings(len(vocab), dim, seed=seed, pad_index=vocab.pad_index)
+        return random_embeddings(size, dim, seed=seed, pad_index=vocab.pad_index)
 
-    row_sums = np.asarray(counts.sum(axis=1)).ravel()
-    col_sums = np.asarray(counts.sum(axis=0)).ravel()
-
-    coo = counts.tocoo()
+    row_sums = np.bincount(rows, weights=counts, minlength=size)
+    col_sums = np.bincount(cols, weights=counts, minlength=size)
     with np.errstate(divide="ignore"):
-        pmi = np.log(coo.data * total / (row_sums[coo.row] * col_sums[coo.col]))
+        pmi = np.log(counts * total / (row_sums[rows] * col_sums[cols]))
     positive = pmi > 0
-    ppmi = coo_matrix(
-        (pmi[positive], (coo.row[positive], coo.col[positive])), shape=counts.shape
-    )
+    rows, cols, pmi = rows[positive], cols[positive], pmi[positive]
 
-    k = min(dim, min(ppmi.shape) - 1)
+    k = min(dim, size - 1)
     rng = np.random.default_rng(seed)
-    if min(ppmi.shape) <= 2048:
+    if size <= 2048:
         # Small vocabulary: dense SVD is cheap and — unlike ARPACK — exactly
         # deterministic across runs and thread counts.
-        u, s, _ = np.linalg.svd(ppmi.toarray(), full_matrices=False)
+        ppmi = np.zeros((size, size))
+        ppmi[rows, cols] = pmi
+        u, s, _ = np.linalg.svd(ppmi, full_matrices=False)
         u, s = u[:, :k], s[:k]
     else:
-        from scipy.sparse.linalg import svds  # ~0.1 s to import; only this branch uses it
+        # ~0.2 s to import scipy.sparse; only this branch uses it.
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.linalg import svds
 
-        v0 = rng.normal(size=min(ppmi.shape))
+        ppmi = coo_matrix((pmi, (rows, cols)), shape=(size, size))
+        v0 = rng.normal(size=size)
         u, s, _ = svds(ppmi.tocsc().astype(np.float64), k=k, v0=v0)
         # svds returns ascending singular values; flip to descending.
         order = np.argsort(s)[::-1]
@@ -108,8 +112,7 @@ def train_ppmi_svd_embeddings(
         table = np.concatenate([table, np.zeros((table.shape[0], dim - k))], axis=1)
 
     # Unseen tokens get small random vectors; PAD stays exactly zero.
-    seen = np.asarray(counts.sum(axis=1)).ravel() > 0
-    unseen = ~seen
+    unseen = row_sums == 0
     unseen[vocab.pad_index] = False
     table[unseen] = rng.normal(0.0, 0.01, size=(int(unseen.sum()), dim))
     table[vocab.pad_index] = 0.0

@@ -12,6 +12,7 @@ from repro.obs import (
     validate_event,
     validate_run_file,
 )
+from repro.obs.schema import RETIRED_KINDS, translate_events
 
 
 def make_event(kind="health", **overrides):
@@ -148,11 +149,13 @@ class TestReport:
         assert summary["epochs"] == 2
         assert summary["samples"] == 200
         assert summary["samples_per_sec"] == pytest.approx(200.0)
-        assert summary["phases"]["forward"] == pytest.approx(0.6)
+        assert summary["spans"]["trainer"]["epoch/forward"] == {
+            "calls": 6, "seconds": 0.6, "exclusive_seconds": 0.6,
+        }
         assert summary["health"] == {"checkpoint": 1}
         assert summary["checkpoints"] == 1
         assert summary["final"]["epoch"] == 2
-        assert summary["metrics"]["counters"]["batches"] == 6
+        assert summary["metrics"]["trainer"]["counters"]["batches"] == 6
 
     def write_alloc_run(self, directory):
         with TelemetrySink(directory, run_id="alloc-test") as sink:
@@ -229,15 +232,16 @@ class TestReport:
     def test_summarize_ann_events(self, tmp_path):
         path = self.write_ann_run(tmp_path)
         validate_run_file(path)
-        ann = summarize_run(load_run_events(path))["ann"]
-        assert ann["builds"] == 1
-        assert ann["nlist"] == 32
-        assert ann["store"] == "int8"
-        assert ann["probes"] == 2
-        assert ann["candidates"] == 250
-        assert ann["scan_fraction"] == pytest.approx(0.125)
-        assert ann["probe_p50"] == pytest.approx(0.002)
-        assert ann["recall"] == pytest.approx(0.95)
+        summary = summarize_run(load_run_events(path))
+        build, probe = summary["spans"]["serve.ann"].values()
+        assert build["calls"] == 1
+        assert build["store_bytes"] == 256_000
+        assert probe["calls"] == 2
+        assert probe["candidates"] == 250
+        assert probe["catalog"] == 2000
+        assert probe["p50"] == pytest.approx(0.002)
+        gauges = summary["metrics"]["serve.ann"]["gauges"]
+        assert gauges == {"recall": 0.95, "k": 10, "users": 2, "nprobe": 4}
 
     def test_summarize_worker_death_counts_stalls_and_requeues(self, tmp_path):
         with TelemetrySink(tmp_path, run_id="serve") as sink:
@@ -252,8 +256,115 @@ class TestReport:
 
     def test_render_report_ann_section(self, tmp_path):
         text = render_report(load_run_events(self.write_ann_run(tmp_path)))
-        assert "ann retrieval (1 index builds, 2 probes)" in text
-        assert "nlist 32" in text
-        assert "4.0x vs float32" in text
-        assert "12.5% scanned" in text
-        assert "recall@10: 0.950" in text
+        assert "serve.ann  build " in text
+        assert "float32_bytes=1024000  items=1000  store_bytes=256000" in text
+        assert "candidates=250  catalog=2000" in text
+        assert "metrics: serve.ann" in text
+        assert "k=10  nprobe=4  recall=0.95  users=2" in text
+
+
+#: Values for required fields of retired kinds whose type matters to a
+#: reader; every other field gets 1.
+FIELD_VALUES = {
+    "spans": {"epoch": {"calls": 2, "inclusive_seconds": 1.0,
+                        "exclusive_seconds": 0.4}},
+    "totals": {"epoch": 1.0},
+    "counters": {"batches": 6},
+    "gauges": {"lr": 1.0},
+    "histograms": {},
+    "store": "int8",
+    "user": "U1",
+    "status": "ok",
+    "recall": 0.9,
+}
+
+
+class TestVocabulary:
+    def test_emitted_vocabulary_is_25_kinds(self):
+        assert set(EVENT_FIELDS).isdisjoint(RETIRED_KINDS)
+        assert len(set(EVENT_FIELDS) | {"serve_ann_build"}) == 25
+
+    @pytest.mark.parametrize("kind", sorted(RETIRED_KINDS))
+    def test_retired_kind_validates_and_renders(self, kind, tmp_path):
+        with TelemetrySink(tmp_path, run_id="old") as sink:
+            sink.emit(kind, **{
+                name: FIELD_VALUES.get(name, 1)
+                for name in RETIRED_KINDS[kind].fields
+            })
+        assert validate_run_file(tmp_path / "run.jsonl")["kinds"] == {kind: 1}
+        events = load_run_events(tmp_path)
+        for event in translate_events(events):
+            validate_event(event)  # each reads as today's vocabulary
+        assert "old" in render_report(events)
+
+    # (old kind, old fields, new span name, count fields) per engine call
+    CALLS = [
+        ("serve_index", dict(items=40, catalog=40, seconds=0.02), "index"),
+        ("serve_encode_users", dict(users=3, seconds=0.004), "encode_users"),
+        ("serve_score", dict(pairs=12, seconds=0.003, cache_hits=9,
+                             cache_misses=3), "score"),
+        ("serve_score", dict(pairs=12, seconds=0.001, cache_hits=12,
+                             cache_misses=0), "score"),
+        ("serve_recommend", dict(user="U1", k=3, catalog=40, seconds=0.005,
+                                 retrieval="exact"), "recommend"),
+    ]
+    LABELS = ("user", "k", "retrieval")
+
+    def test_old_and_new_shapes_summarize_alike(self, tmp_path):
+        with TelemetrySink(tmp_path / "old", run_id="r") as sink:
+            for kind, fields, _ in self.CALLS:
+                sink.emit(kind, **fields)
+        with TelemetrySink(tmp_path / "new", run_id="r") as sink:
+            for _, fields, name in self.CALLS:
+                sink.emit("span", component="serve.engine", name=name, **{
+                    key: value for key, value in fields.items()
+                    if key not in self.LABELS
+                })
+        old, new = (
+            summarize_run(load_run_events(tmp_path / shape))["spans"]
+            for shape in ("old", "new")
+        )
+        assert old == new
+        assert new["serve.engine"]["score"]["pairs"] == 24
+
+    @pytest.mark.parametrize("shape", ["old", "new"])
+    def test_score_latency_excludes_recommend(self, shape, tmp_path):
+        """A 1 ms score and a 100 ms recommend: the score row's p50 is the
+        score's alone (the per-feature summary once pooled both)."""
+        with TelemetrySink(tmp_path, run_id="latency") as sink:
+            if shape == "old":
+                sink.emit("serve_score", pairs=10, seconds=0.001,
+                          cache_hits=0, cache_misses=1)
+                sink.emit("serve_recommend", user="U1", k=3, catalog=1000,
+                          seconds=0.1)
+            else:
+                sink.emit("span", component="serve.engine", name="score",
+                          seconds=0.001, pairs=10, cache_hits=0, cache_misses=1)
+                sink.emit("span", component="serve.engine", name="recommend",
+                          seconds=0.1, catalog=1000)
+        events = load_run_events(tmp_path)
+        engine = summarize_run(events)["spans"]["serve.engine"]
+        assert engine["score"]["p50"] == pytest.approx(0.001)
+        assert engine["recommend"]["p50"] == pytest.approx(0.1)
+        assert "p50 1.0ms" in render_report(events)
+
+    def test_multi_call_span_has_no_percentiles(self, tmp_path):
+        with TelemetrySink(tmp_path, run_id="calls") as sink:
+            sink.emit("span", component="c", name="n", seconds=0.5, calls=5)
+            sink.emit("span", component="c", name="n", seconds=0.1)
+        row = summarize_run(load_run_events(tmp_path))["spans"]["c"]["n"]
+        assert row == {"calls": 6, "seconds": pytest.approx(0.6)}
+
+    def test_latest_metrics_snapshot_wins(self, tmp_path):
+        with TelemetrySink(tmp_path, run_id="m") as sink:
+            for received in (3, 7):
+                sink.emit("metrics", component="daemon",
+                          counters={"received": received}, gauges={},
+                          histograms={})
+            sink.emit("daemon_stats", received=9, completed=9, shed=0,
+                      timeouts=0, errors=0, depth=0, level=0)
+            sink.emit("metrics", component="trainer", counters={"batches": 2},
+                      gauges={}, histograms={})
+        metrics = summarize_run(load_run_events(tmp_path))["metrics"]
+        assert metrics["daemon"]["counters"]["received"] == 9
+        assert metrics["trainer"]["counters"] == {"batches": 2}

@@ -51,19 +51,21 @@ class TestTrainedRunStream:
         _, path = traced_run
         stats = validate_run_file(path)
         assert stats["runs"] == 1
-        for kind in ("run_start", "batch", "epoch", "span_summary",
-                     "metrics_summary", "run_end", "checkpoint_write",
-                     "health"):
+        for kind in ("run_start", "batch", "epoch", "span", "metrics",
+                     "run_end", "checkpoint_write", "health"):
             assert kind in stats["kinds"], kind
 
-    def test_span_summary_totals_are_the_tracer_totals(self, traced_run):
+    def test_trainer_spans_are_the_tracer_summary(self, traced_run):
         trainer, path = traced_run
         events = read_events(path)
-        [span_summary] = [e for e in events if e["kind"] == "span_summary"]
-        assert span_summary["totals"] == trainer.tracer.totals()
-        assert {"batch_assembly", "forward", "backward",
-                "optimizer", "validation"} <= set(span_summary["totals"])
-        assert "perf" not in span_summary
+        spans = {
+            e["name"]: {"calls": e["calls"], "inclusive_seconds": e["seconds"],
+                        "exclusive_seconds": e["exclusive_seconds"]}
+            for e in events if e["kind"] == "span" and e["component"] == "trainer"
+        }
+        assert spans == trainer.tracer.summary()
+        assert {"batch_assembly", "forward", "backward", "optimizer",
+                "validation"} <= {path.rsplit("/", 1)[-1] for path in spans}
         [run_start] = [e for e in events if e["kind"] == "run_start"]
         assert "legacy_path" not in run_start
 
@@ -96,7 +98,8 @@ class TestTrainedRunStream:
     def test_metrics_summary_counts_all_batches(self, traced_run):
         _, path = traced_run
         events = read_events(path)
-        [summary] = [e for e in events if e["kind"] == "metrics_summary"]
+        [summary] = [e for e in events if e["kind"] == "metrics"]
+        assert summary["component"] == "trainer"
         batches = [e for e in events if e["kind"] == "batch"]
         assert summary["counters"]["batches"] == len(batches)
         assert summary["histograms"]["batch_loss"]["count"] == len(batches)
@@ -106,8 +109,9 @@ class TestTrainedRunStream:
         _, path = traced_run
         text = render_report(read_events(path))
         assert "status: completed" in text
-        assert "phase time breakdown" in text
-        assert "forward" in text
+        assert "spans (calls, seconds" in text
+        assert "epoch/forward" in text
+        assert "metrics: trainer" in text
 
     def test_events_are_plain_json(self, traced_run):
         _, path = traced_run
@@ -127,7 +131,7 @@ class TestHealthFolding:
         assert "nonfinite_loss" in health_kinds
         assert "rollback" in health_kinds
         # The same recovery is also counted in the metrics summary.
-        [summary] = [e for e in events if e["kind"] == "metrics_summary"]
+        [summary] = [e for e in events if e["kind"] == "metrics"]
         assert summary["counters"]["health.nonfinite_loss"] >= 1
         validate_run_file(tmp_path / "run.jsonl")
 

@@ -96,7 +96,7 @@ class TestBitIdentity:
             cached, naive_score_pairs(result, pairs, batch_size=32)
         )
         assert engine.users.misses == 1  # the single unique user
-        assert engine.metrics.counter("serve.items_encoded") == len(items)
+        assert engine.items.items_encoded == len(items)
 
     def test_chunking_is_invisible(self, mode_results, test_pairs):
         """Scoring pair-by-pair equals scoring the whole list at once, at

@@ -22,14 +22,14 @@ class TestMaterialization:
         subset = index.item_ids[:5]
         index.ensure(subset)
         assert index.encoded_count == 5
-        assert index.metrics.counter("serve.items_encoded") == 5
+        assert index.items_encoded == 5
 
     def test_build_is_idempotent_encode_once(self, trained):
         index = make_index(trained)
         first = index.build().copy()
         again = index.build()
         np.testing.assert_array_equal(first, again)
-        assert index.metrics.counter("serve.items_encoded") == len(index)
+        assert index.items_encoded == len(index)
 
     def test_lazy_rows_match_full_build(self, trained):
         lazy = make_index(trained)
@@ -64,9 +64,9 @@ class TestOverflow:
     def test_overflow_encoded_once(self, trained):
         index = make_index(trained)
         index.rows(["ghost-item"])
-        count = index.metrics.counter("serve.items_encoded")
+        count = index.items_encoded
         index.rows(["ghost-item"])
-        assert index.metrics.counter("serve.items_encoded") == count
+        assert index.items_encoded == count
 
     def test_explicit_catalog_restricts_slots(self, trained):
         catalog = sorted(trained.store.dataset.target.items)[:4]
@@ -113,12 +113,12 @@ class TestInvalidation:
         index = make_index(trained)
         index.build()
         index.rows(["ghost-item"])
-        encoded = index.metrics.counter("serve.items_encoded")
+        encoded = index.items_encoded
         targets = [index.item_ids[1], "ghost-item", "never-seen"]
         assert index.invalidate(targets) == 2  # never-seen drops nothing
         index.build()
         index.rows(["ghost-item"])
-        assert index.metrics.counter("serve.items_encoded") == encoded + 2
+        assert index.items_encoded == encoded + 2
 
     def test_invalidate_nothing_keeps_version(self, trained):
         index = make_index(trained)

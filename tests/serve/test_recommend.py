@@ -73,10 +73,10 @@ class TestCaching:
         dataset, split = world
         engine = InferenceEngine(trained, batch_size=32)
         first = engine.recommend(split.test_users[0], k=4)
-        encoded = engine.metrics.counter("serve.items_encoded")
+        encoded = engine.items.items_encoded
         assert encoded == len(engine.items)
         again = engine.recommend(split.test_users[0], k=4)
-        assert engine.metrics.counter("serve.items_encoded") == encoded
+        assert engine.items.items_encoded == encoded
         assert first == again
 
     def test_k_must_be_positive(self, engine, world):

@@ -61,6 +61,18 @@ class TestLazySubpackages:
         ).stdout.splitlines()
         assert out == ["[]", "[]"]
 
+    def test_core_and_data_leave_scipy_sparse_unloaded(self):
+        """Training set-up needs no sparse matrices: only the > 2048-token
+        embedding branch imports ``scipy.sparse``."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.core, repro.data; "
+             "print('scipy.sparse' in sys.modules)"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+        ).stdout.split()
+        assert out == ["False"]
+
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.no_such_subpackage

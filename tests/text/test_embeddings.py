@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.text import Vocabulary, random_embeddings, train_ppmi_svd_embeddings
 from repro.text.embeddings import _cooccurrence_counts
 from repro.text.vocab import PAD_TOKEN, UNK_TOKEN
 
-from .reference import cooccurrence_counts
+from .reference import cooccurrence_counts, ppmi_svd_embeddings
 
 
 def corpus():
@@ -85,11 +85,12 @@ class TestPPMISVD:
 
 
 def assert_same_csr(docs, vocab, window):
-    fast = _cooccurrence_counts(docs, vocab, window).tocsr()
+    rows, cols, counts = _cooccurrence_counts(docs, vocab, window)
     slow = cooccurrence_counts(docs, vocab, window).tocsr()
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(fast, name), getattr(slow, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    slow_rows = np.repeat(np.arange(len(vocab)), np.diff(slow.indptr))
+    assert np.array_equal(rows, slow_rows)
+    assert np.array_equal(cols, slow.indices)
+    assert counts.dtype == slow.data.dtype and np.array_equal(counts, slow.data)
 
 
 class TestCooccurrenceMatchesLoop:
@@ -113,7 +114,7 @@ class TestCooccurrenceMatchesLoop:
     def test_corpora_without_pairs(self, docs):
         vocab = Vocabulary.build([["a", "b"]])
         assert_same_csr(docs, vocab, 3)
-        assert _cooccurrence_counts(docs, vocab, 3).nnz == 0
+        assert len(_cooccurrence_counts(docs, vocab, 3)[2]) == 0
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(
@@ -128,15 +129,48 @@ class TestCooccurrenceMatchesLoop:
         vocab = Vocabulary.build([["a", "b", "c"]])
         assert_same_csr(docs, vocab, window)
 
-    def test_embedding_table_bit_identical(self, monkeypatch):
-        from repro.text import embeddings
-
+    def test_embedding_table_bit_identical(self):
         docs = corpus()
         vocab = Vocabulary.build(docs)
         fast = train_ppmi_svd_embeddings(iter(docs), vocab, dim=8, seed=1)
-        monkeypatch.setattr(embeddings, "_cooccurrence_counts", cooccurrence_counts)
-        slow = train_ppmi_svd_embeddings(docs, vocab, dim=8, seed=1)
+        slow = ppmi_svd_embeddings(docs, vocab, dim=8, seed=1)
         assert np.array_equal(fast, slow)
+
+
+class TestTableMatchesSparseFormulation:
+    """The numpy PPMI path equals the ``coo_matrix`` one byte for byte, on
+    both sides of the dense-SVD threshold (2048 tokens)."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.just(40), st.integers(0, 300), st.integers(1, 30)),
+            # ARPACK is run-to-run stable only on a spectrum without ties at
+            # the top (both formulations vary on a 2-token corpus), which a
+            # sizeable corpus gives.
+            st.tuples(st.just(2100), st.integers(150, 300), st.integers(10, 30)),
+        ),
+        window=st.integers(1, 5),
+        dim=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(40, 0, 1), window=4, dim=8, seed=0)
+    @example(shape=(2100, 150, 10), window=4, dim=8, seed=0)
+    def test_drawn_corpora(self, shape, window, dim, seed):
+        words, docs, doc_len = shape
+        rng = np.random.default_rng(seed)
+        lexicon = [f"w{i}" for i in range(words)] + [PAD_TOKEN, UNK_TOKEN]
+        corpus = [
+            [lexicon[i] for i in rng.integers(0, len(lexicon), size=doc_len)]
+            for _ in range(docs)
+        ]
+        vocab = Vocabulary.build([lexicon[:words]])
+        fast = train_ppmi_svd_embeddings(corpus, vocab, dim=dim, window=window,
+                                         seed=seed)
+        slow = ppmi_svd_embeddings(corpus, vocab, dim=dim, window=window,
+                                   seed=seed)
+        assert fast.dtype == slow.dtype and np.array_equal(fast, slow)
+
 
 class TestRandomEmbeddings:
     def test_deterministic(self):
