@@ -11,8 +11,10 @@ benchmark exists to measure:
   each user and item is encoded exactly once, steady-state passes are a
   single batched rating-head MLP over cached vectors.
 
-Because both paths encode through the canonical blocked encoder and chunk
-the rating head identically, their predictions must be **bit-identical**
+Because both paths encode users through ``blocking.encode_users`` (one conv
+GEMM per document, heads on ``USER_BLOCK``-row blocks) and items through
+the canonical blocked encoder, and chunk the rating head identically, their
+predictions must be **bit-identical**
 — asserted on every run, at every scale, before any timing is trusted.
 The report (per-pass timings, steady-state throughput, cache counters, a
 full-catalog ``recommend`` measurement, and the speedup ratio) is printed

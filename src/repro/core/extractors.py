@@ -96,20 +96,28 @@ class UserFeatureExtractor(nn.Module):
         """Dim of r_j = invariant (+) specific (Eq. 10)."""
         return self.config.invariant_dim + self.config.specific_dim
 
-    def _heads(self, pooled: nn.Tensor, specific_head: nn.Linear) -> tuple[nn.Tensor, nn.Tensor]:
+    def encode(self, token_ids: np.ndarray, domain: str) -> nn.Tensor:
+        """A tower's first step: ``domain``'s document encoder."""
+        encoder = self.source_encoder if domain == "source" else self.target_encoder
+        return encoder(token_ids)
+
+    def heads(self, pooled: nn.Tensor, domain: str) -> tuple[nn.Tensor, nn.Tensor]:
+        """A tower's second step: (invariant, specific) features of
+        :meth:`encode`'s output for ``domain`` (Eq. 8-9)."""
+        specific_head = (
+            self.source_specific_head if domain == "source" else self.target_specific_head
+        )
         invariant = self.drop(F.relu(self.invariant_head(pooled)))
         specific = self.drop(F.relu(specific_head(pooled)))
         return invariant, specific
 
     def extract_source(self, token_ids: np.ndarray) -> tuple[nn.Tensor, nn.Tensor]:
         """Return (invariant, specific) source-domain user features (Eq. 8-9)."""
-        pooled = self.source_encoder(token_ids)
-        return self._heads(pooled, self.source_specific_head)
+        return self.heads(self.encode(token_ids, "source"), "source")
 
     def extract_target(self, token_ids: np.ndarray) -> tuple[nn.Tensor, nn.Tensor]:
         """Return (invariant, specific) target-domain user features."""
-        pooled = self.target_encoder(token_ids)
-        return self._heads(pooled, self.target_specific_head)
+        return self.heads(self.encode(token_ids, "target"), "target")
 
     @staticmethod
     def combine(invariant: nn.Tensor, specific: nn.Tensor) -> nn.Tensor:

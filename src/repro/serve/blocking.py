@@ -8,20 +8,28 @@ independent of the other rows' content — two batches with the same row
 count produce bit-identical outputs row by row, whatever else shares the
 batch (measured property; ``tests/serve/test_blocking.py`` pins it).
 
-The serving engine therefore encodes **everything** — item catalog blocks,
-user-cache fills, and the naive re-encoding reference path — through
-:func:`encode_blocked`, which pads every block to exactly ``block`` rows.
-With the GEMM ``m`` fixed, an entity's representation is a pure function of
-its own document: encode-once caching, cache eviction + re-encode, and
-full re-encoding all agree bit for bit.
+The serving engine therefore runs every GEMM of an encode at a fixed row
+count, so an entity's representation is a pure function of its own
+document: encode-once caching, cache eviction + re-encode, and full
+re-encoding (the naive reference path) all agree bit for bit. Two
+primitives do it:
 
-Two fixed row counts are in use. Items (and rating-head blocks) go in
-blocks of the engine's ``batch_size`` (:data:`DEFAULT_BLOCK`), because the
-catalog is encoded in bulk. Users always go in blocks of
-:data:`USER_BLOCK`, whatever the batch size: a user-cache miss is usually
-one cold user, and a 256-row block would be 255 rows of padding. 32 is the
-smallest block whose rows are bit-identical to a 256-row block on the
-reference box (blocks of 1–16 differ), so it serves the same scores.
+* Items go through :func:`encode_blocked`, which pads every block to
+  exactly ``block`` rows — the engine's ``batch_size``
+  (:data:`DEFAULT_BLOCK`). The catalog is encoded in bulk at build time,
+  where one 256-document conv GEMM is cheaper than 256 one-document ones
+  (7.9 vs 13.3 ms per 256 item documents, one BLAS thread, 2-core x86_64).
+* Users go through :func:`encode_users`. A user-cache miss is usually one
+  cold user, so padding it to a block would encode pad documents. The
+  document encoder instead runs on one real document per call, so the
+  conv bank's GEMM is a fixed
+  ``(doc_len + pad - max(k) + 1) x (max(k) * embed)`` product on every
+  call, and only the cheap head ``Linear`` layers run on zero-padded
+  :data:`USER_BLOCK`-row blocks. A miss costs one document's encode; a
+  user's rows hold for any number of misses and any fixed BLAS thread
+  count by construction. At the default config they equal the earlier
+  encoding (whole towers on 32-row padded blocks) bit for bit, so no
+  served score moved.
 
 The rating head has its own primitive here, :func:`score_user_rows`, for
 the same reason: every serving path (exact scan, IVF candidates and
@@ -57,6 +65,7 @@ __all__ = [
     "DEFAULT_BLOCK",
     "USER_BLOCK",
     "encode_blocked",
+    "encode_users",
     "inference_mode",
     "score_pairs_by_user",
     "score_user_rows",
@@ -126,6 +135,49 @@ def encode_blocked(
         for parts in zip(*pieces)
     )
     return outputs
+
+
+def encode_users(model, user_ids: Sequence[str], docs) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked rating-head inputs ``(invariant, user_repr)`` for ``user_ids``.
+
+    ``docs`` hands out each user's token documents (``target_doc`` and
+    ``source_doc``, as :class:`repro.serve.engine.ColdStartDocuments`
+    does). Each tower runs its document encoder on one document at a time,
+    unpadded, then its heads in :data:`USER_BLOCK`-row blocks; the source
+    tower runs only when ``cold_inference`` blends it in. The
+    mode-specific combination of Eq. 18 is elementwise and a concat, so it
+    runs on the whole batch at once.
+    """
+    extractor = model.user_extractor
+
+    def tower(domain: str, documents: np.ndarray) -> tuple[np.ndarray, ...]:
+        pooled = np.concatenate(
+            [extractor.encode(documents[d : d + 1], domain).data
+             for d in range(len(documents))]
+        )
+        return encode_blocked(
+            lambda chunk: tuple(
+                t.data for t in extractor.heads(nn.Tensor(chunk), domain)
+            ),
+            pooled,
+            USER_BLOCK,
+        )
+
+    with inference_mode(model):
+        target_inv, target_spec = tower(
+            "target", np.stack([docs.target_doc(u) for u in user_ids])
+        )
+        source_inv = None
+        if model.config.cold_inference in ("blend", "dual"):
+            source_inv, _ = tower(
+                "source", np.stack([docs.source_doc(u) for u in user_ids])
+            )
+        invariant, user_repr = model._rating_inputs(
+            nn.Tensor(source_inv) if source_inv is not None else None,
+            nn.Tensor(target_inv),
+            nn.Tensor(target_spec),
+        )
+    return invariant.data, user_repr.data
 
 
 class _FoldedHead:

@@ -922,8 +922,11 @@ class RecommendDaemon:
                 if age > budget:
                     stalled.add(slot)
         for slot in stalled:
+            key = (slot, self._supervisor.generation(slot))
+            if key in self._stall_killed:
+                continue  # already SIGKILLed; its death is not reaped yet
             self._counters["stall_kills"] += 1
-            self._stall_killed.add((slot, self._supervisor.generation(slot)))
+            self._stall_killed.add(key)
             self._supervisor.kill(slot)
 
     def _sweep_deadlines(self, failed: list) -> None:

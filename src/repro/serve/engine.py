@@ -12,11 +12,14 @@ into its first layer (``repro.serve.blocking.score_user_rows``): one
 ``item_dim``-wide GEMM per block of items instead of a ``head_dim``-wide
 one over concatenated features.
 
-Bit-identity contract: every encode goes through the canonical blocked
-encoder and every score through the one folded-head primitive
-(``repro.serve.blocking``), so engine predictions match the re-encoding
+Bit-identity contract: every user encode goes through the one user-encode
+primitive (one conv GEMM per document, heads on ``USER_BLOCK``-row
+blocks), every item encode through the canonical blocked encoder, and
+every score through the one folded-head primitive (all in
+``repro.serve.blocking``), so engine predictions match the re-encoding
 reference path (``repro.serve.reference``) bit for bit, and ``recommend``
-scores match ``score_pairs`` over the same catalog exactly. The folded
+scores match ``score_pairs`` over the same catalog exactly. A user-cache
+miss encodes the missed users' own documents and nothing else. The folded
 head reassociates the first layer's sums, so served scores equal the
 training MLP (``OmniMatchModel.rating_logits``) on the same
 representations to float rounding, not bit for bit.
@@ -44,14 +47,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .. import nn
 from ..obs import get_active_sink
 from .ann import DEFAULT_ITERS, DEFAULT_NPROBE, IVFIndex, default_nlist
 from .blocking import (
     DEFAULT_BLOCK,
-    USER_BLOCK,
-    encode_blocked,
-    inference_mode,
+    encode_users,
     score_pairs_by_user,
     score_user_rows,
 )
@@ -136,8 +136,9 @@ class InferenceEngine:
         batch_size:
             Rows per item encode block *and* per rating-head block. All
             paths that must agree bitwise have to share this value. Users
-            always encode in blocks of
-            :data:`~repro.serve.blocking.USER_BLOCK` rows.
+            encode one document per conv GEMM and run their heads in
+            :data:`~repro.serve.blocking.USER_BLOCK`-row blocks, whatever
+            the batch size.
         cache_capacity:
             Maximum resident users in the representation LRU.
         catalog:
@@ -173,7 +174,6 @@ class InferenceEngine:
         self.aux_generator = result.aux_generator
         self.batch_size = batch_size
         self.out_dtype = np.dtype(self.model.config.dtype)
-        self.blend = self.model.config.cold_inference in ("blend", "dual")
         self.telemetry = telemetry
         self.docs = ColdStartDocuments(result, store=self.store)
         self.items = ItemIndex(self.model, self.store, catalog=catalog, block=batch_size)
@@ -203,39 +203,9 @@ class InferenceEngine:
     # Encoding
     # ------------------------------------------------------------------
     def _encode_users(self, user_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked rating-head inputs for ``user_ids`` (one pass per
-        extractor tower in ``USER_BLOCK``-row blocks, then the mode-specific
-        combination of Eq. 18)."""
-        target_docs = np.stack([self.docs.target_doc(u) for u in user_ids])
-        with inference_mode(self.model):
-            target_inv, target_spec = encode_blocked(
-                lambda chunk: tuple(
-                    t.data for t in self.model.user_extractor.extract_target(chunk)
-                ),
-                target_docs,
-                USER_BLOCK,
-            )
-            source_inv = None
-            if self.blend:
-                source_docs = np.stack([self.docs.source_doc(u) for u in user_ids])
-                source_inv, _ = encode_blocked(
-                    lambda chunk: tuple(
-                        t.data
-                        for t in self.model.user_extractor.extract_source(chunk)
-                    ),
-                    source_docs,
-                    USER_BLOCK,
-                )
-            # _rating_inputs is purely elementwise + concat, so its per-row
-            # results do not depend on the batch's row count — safe to run
-            # on the whole miss batch at once.
-            invariant, user_repr = self.model._rating_inputs(
-                nn.Tensor(source_inv) if source_inv is not None else None,
-                nn.Tensor(target_inv),
-                nn.Tensor(target_spec),
-            )
-            invariant, user_repr = invariant.data, user_repr.data
-        return invariant, user_repr
+        """Stacked rating-head inputs for ``user_ids`` (the cache's miss
+        encoder; see :func:`~repro.serve.blocking.encode_users`)."""
+        return encode_users(self.model, user_ids, self.docs)
 
     def warm(self, user_ids: Iterable[str]) -> int:
         """Pre-encode a user cohort; returns how many were newly encoded."""

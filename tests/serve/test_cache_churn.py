@@ -11,7 +11,14 @@ and a row that drifted after re-encoding would silently corrupt rankings.
 import numpy as np
 import pytest
 
-from repro.serve import InferenceEngine, UserReprCache
+from repro.obs import load_run_events
+from repro.serve import (
+    DaemonConfig,
+    InferenceEngine,
+    RecommendDaemon,
+    ServeClient,
+    UserReprCache,
+)
 
 
 def oracle_encoder():
@@ -118,3 +125,52 @@ class TestEngineUnderChurn:
         np.testing.assert_array_equal(  # revisit after full churn
             churned.score_pairs(pairs[:4]), oracle.score_pairs(pairs[:4])
         )
+
+
+class TestDaemonUnderChurn:
+    """The same property inside the daemon's workers: each worker's cache
+    evicts and re-encodes users between requests, and every response still
+    equals the in-process reference engine's."""
+
+    def test_two_passes_over_more_users_than_the_caches_hold(
+        self, trained, world, tmp_path
+    ):
+        dataset, _ = world
+        users = sorted(dataset.source.users)[:24]
+        shape = dict(retrieval="ivf", nlist=8, nprobe=2, ann_seed=0)
+        reference = InferenceEngine(trained, **shape)
+        items = sorted(reference.items.item_ids)[:3]
+        config = DaemonConfig(
+            workers=2, cache_capacity=2, max_delay_ms=1.0,
+            telemetry_dir=str(tmp_path), **shape,
+        )
+        daemon = RecommendDaemon(trained, config).start()
+        try:
+            assert daemon.wait_ready(timeout=60)
+            with ServeClient(config.host, daemon.port) as client:
+                for _ in range(2):
+                    for user in users:
+                        pairs = [(user, item) for item in items]
+                        response = client.score(pairs)
+                        assert response["status"] == "ok"
+                        assert response["scores"] == [
+                            float(s) for s in reference.score_pairs(pairs)
+                        ]
+                        response = client.recommend(user, k=5)
+                        assert response["status"] == "ok"
+                        assert response["items"] == [
+                            [r.item_id, r.score]
+                            for r in reference.recommend(user, 5)
+                        ]
+        finally:
+            daemon.stop()
+        # Every recommend reaches both workers' caches, so by a user's next
+        # score request 23 other users have passed through a 2-user cache:
+        # each score request, first pass or second, must miss and encode.
+        misses = {}
+        for event in load_run_events(tmp_path / "run.jsonl"):
+            if event["kind"] == "span" and event["name"] == "score":
+                worker = event["run"].rsplit("-", 1)[1]
+                misses[worker] = misses.get(worker, 0) + event["cache_misses"]
+        assert set(misses) <= {"w0g0", "w1g0"}  # no respawns
+        assert sum(misses.values()) == 2 * len(users)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import ColdStartPredictor, OmniMatchTrainer
+from repro.nn import conv as conv_module
 from repro.serve import InferenceEngine, naive_score_pairs
 from repro.serve.blocking import USER_BLOCK
 
@@ -58,23 +59,29 @@ class TestBitIdentity:
     def test_single_user_miss_encodes_one_user_block(
         self, mode_results, test_pairs, monkeypatch, batch_size
     ):
+        """A miss runs each tower's conv over the user's one document, and
+        only the heads see a USER_BLOCK-row block."""
         result = mode_results[("dual", True)]
         extractor = result.model.user_extractor
-        rows = {"extract_target": [], "extract_source": []}
-        for name, calls in rows.items():
-            tower = getattr(extractor, name)
+        convs, heads = [], []
 
-            def spy(chunk, tower=tower, calls=calls):
-                calls.append(len(chunk))
-                return tower(chunk)
+        def conv_spy(x, *args, **kwargs):
+            convs.append(len(x.data))
+            return real_conv(x, *args, **kwargs)
 
-            monkeypatch.setattr(extractor, name, spy)
+        def heads_spy(pooled, domain):
+            heads.append((domain, len(pooled.data)))
+            return real_heads(pooled, domain)
+
         engine = InferenceEngine(result, batch_size=batch_size)
+        engine.build_index()  # the catalog's own conv calls come first
+        real_conv = conv_module.conv_bank_pool
+        real_heads = extractor.heads
+        monkeypatch.setattr(conv_module, "conv_bank_pool", conv_spy)
+        monkeypatch.setattr(extractor, "heads", heads_spy)
         engine.score_pairs(test_pairs[:1])
-        assert rows == {
-            "extract_target": [USER_BLOCK],
-            "extract_source": [USER_BLOCK],
-        }
+        assert convs == [1, 1]  # target tower, source tower
+        assert heads == [("target", USER_BLOCK), ("source", USER_BLOCK)]
 
     def test_repeat_scoring_is_stable(self, mode_results, test_pairs):
         engine = InferenceEngine(mode_results[("dual", True)], batch_size=32)
