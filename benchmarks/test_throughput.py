@@ -3,17 +3,17 @@
 The ``fast`` variant trains the default model on the amazon-profile world:
 float32, vectorized document-matrix gathers, the fused
 softmax-cross-entropy / linear+relu / conv-bank kernels with cached im2col
-workspaces, under the tape-level graph optimizer (automatic chain fusion +
-arena buffer reuse) — the one training path the trainer has.
+workspaces, on the plain autograd tape — the one training path the trainer
+has.
 
-A *coverage arm* trains models the hand-written kernels never touched —
-the BERT-ablation transformer extractor and the DeepCoNN baseline — under
-the graph optimizer, to show the automatic pass reaches them with zero
-per-kernel code.
+A *coverage arm* times models that route through generic tensor ops
+rather than the hand-written kernels — the BERT-ablation transformer
+extractor and the DeepCoNN baseline — and records their allocation
+counters.
 
 The variant also runs a short *untimed* fit with ``REPRO_TENSOR_STATS``
 counting enabled to record its allocation profile (fresh graph/backward
-bytes, arena hit rate, fused tape nodes); the deltas land in
+bytes and the per-step peak); the deltas land in
 ``BENCH_throughput.json`` without taxing the timed runs. The timed runs
 train with telemetry enabled (a sink streaming to a temp directory), so
 the rate prices in the observability overhead a real instrumented run
@@ -61,10 +61,7 @@ ALLOC_KEYS = ("graph_bytes", "backward_bytes", "peak_bytes",
 
 def _alloc_snapshot() -> dict:
     stats = nn.tensor_stats()
-    alloc = {key: stats[key] for key in ALLOC_KEYS}
-    requests = alloc["arena_hits"] + alloc["arena_misses"]
-    alloc["arena_hit_rate"] = alloc["arena_hits"] / requests if requests else 0.0
-    return alloc
+    return {key: stats[key] for key in ALLOC_KEYS}
 
 
 def _alloc_profile(dataset, split, flags) -> dict:
@@ -116,11 +113,11 @@ def _train_variant(dataset, split, flags) -> dict:
 
 
 def _train_coverage_arm(dataset, split) -> dict:
-    """Models the hand-written kernels never covered, under the graph pass.
+    """Timings of models the hand-written kernels do not cover.
 
     The transformer (BERT-ablation) extractor and the DeepCoNN baseline
     route through generic tensor ops, so their speed and allocation profile
-    come entirely from the automatic fusion + arena passes.
+    measure the plain tape itself.
     """
     arm = {}
 
@@ -195,16 +192,10 @@ def test_throughput(benchmark):
         alloc = stats["alloc"]
         print(
             f"alloc[{name}]: fwd={alloc['graph_bytes']}B "
-            f"bwd={alloc['backward_bytes']}B peak={alloc['peak_bytes']}B/step "
-            f"arena={alloc['arena_hit_rate']:.0%} hit "
-            f"fused={alloc['fused_ops']} ops"
+            f"bwd={alloc['backward_bytes']}B peak={alloc['peak_bytes']}B/step"
         )
     for name, stats in report["coverage"].items():
-        alloc = stats["alloc"]
-        print(
-            f"coverage[{name}]: {stats['samples_per_sec']:.1f} samples/s "
-            f"arena={alloc['arena_hit_rate']:.0%} hit fused={alloc['fused_ops']} ops"
-        )
+        print(f"coverage[{name}]: {stats['samples_per_sec']:.1f} samples/s")
 
     for stats in report["variants"].values():
         assert stats["samples_per_sec"] > 0
@@ -220,13 +211,6 @@ def test_throughput(benchmark):
             assert abs(trace_totals[phase] - stats["phases"][phase]) <= (
                 0.01 * max(trace_totals[phase], stats["phases"][phase])
             )
-    # The graph pass is live on the fast arm and reaches the coverage
-    # models (transformer extractor + DeepCoNN) with zero per-kernel code.
-    assert report["variants"]["fast"]["alloc"]["fused_ops"] > 0
-    assert report["variants"]["fast"]["alloc"]["arena_hits"] > 0
-    for stats in report["coverage"].values():
-        assert stats["alloc"]["fused_ops"] > 0
-        assert stats["alloc"]["arena_hits"] > 0
     if SHAPE_ASSERTS:
         rate = report["variants"]["fast"]["samples_per_sec"]
         assert rate >= FAST_FLOOR_SAMPLES_PER_SEC, (

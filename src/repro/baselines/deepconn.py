@@ -103,20 +103,17 @@ class DeepCoNN(BaselineRecommender):
 
         rng = np.random.default_rng(self.seed)
         optimizer = nn.Adam(self._parameters(), lr=self.learning_rate)
-        # Train under the tape-level graph optimizer: chain fusion plus
-        # arena buffer reuse, bit-identical to the plain tape.
-        with nn.graph_scope():
-            for _ in range(self.epochs):
-                for batch in iter_batches(interactions, self.batch_size, rng):
-                    user_docs = np.stack(
-                        [self._store.user_target_doc(r.user_id) for r in batch]
-                    )
-                    item_docs = np.stack([self._store.item_doc(r.item_id) for r in batch])
-                    ratings = np.array([r.rating for r in batch])
-                    optimizer.zero_grad()
-                    loss = nn.mse_loss(self._forward(user_docs, item_docs), ratings)
-                    loss.backward()
-                    optimizer.step()
+        for _ in range(self.epochs):
+            for batch in iter_batches(interactions, self.batch_size, rng):
+                user_docs = np.stack(
+                    [self._store.user_target_doc(r.user_id) for r in batch]
+                )
+                item_docs = np.stack([self._store.item_doc(r.item_id) for r in batch])
+                ratings = np.array([r.rating for r in batch])
+                optimizer.zero_grad()
+                loss = nn.mse_loss(self._forward(user_docs, item_docs), ratings)
+                loss.backward()
+                optimizer.step()
         return self
 
     # ------------------------------------------------------------------

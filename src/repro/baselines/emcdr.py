@@ -71,14 +71,11 @@ class EMCDR(BaselineRecommender):
         self._mapping = nn.MLP([k, self.hidden_dim, k], rng)
         optimizer = nn.Adam(self._mapping.parameters(), lr=self.mapping_lr)
         inputs = nn.Tensor(x)
-        # Train under the tape-level graph optimizer (fusion + arena);
-        # bit-identical to the plain tape.
-        with nn.graph_scope():
-            for _ in range(self.mapping_epochs):
-                optimizer.zero_grad()
-                loss = nn.mse_loss(self._mapping(inputs), y)
-                loss.backward()
-                optimizer.step()
+        for _ in range(self.mapping_epochs):
+            optimizer.zero_grad()
+            loss = nn.mse_loss(self._mapping(inputs), y)
+            loss.backward()
+            optimizer.step()
         self._mapping.eval()
         return self
 

@@ -22,8 +22,9 @@ are one double per sample, in batch order, so the augmentation choices are
 exactly those of a per-sample loop over the same seed (the oracle in
 ``tests/core/test_trainer_internals.py``).
 
-Training always runs the fused kernels under the tape graph optimizer
-(:class:`repro.nn.GraphOptimizer`, installed for the duration of ``fit``).
+Training runs the fused kernels (``conv_bank_pool``, ``linear_relu``,
+``softmax_cross_entropy``) on the plain autograd tape of
+:meth:`repro.nn.Tensor.backward`.
 
 Observability
 -------------
@@ -520,7 +521,6 @@ class OmniMatchTrainer:
         spent_retries = sum(1 for event in health if event.kind == "rollback")
         retries_left = max(0, self.config.max_divergence_retries - spent_retries)
         self.model.train()
-        previous_graph = nn.set_graph_optimizer(nn.GraphOptimizer())
         status = "aborted"
         try:
             epoch = start_epoch
@@ -586,13 +586,7 @@ class OmniMatchTrainer:
                     # allows extra fields, so old readers are unaffected.
                     extra["alloc"] = {
                         key: after[key] - alloc_before[key]
-                        for key in (
-                            "graph_bytes",
-                            "backward_bytes",
-                            "arena_hits",
-                            "arena_misses",
-                            "fused_ops",
-                        )
+                        for key in ("graph_bytes", "backward_bytes")
                     }
                     extra["alloc"]["peak_bytes"] = after["peak_bytes"]
                 self._emit(
@@ -663,7 +657,6 @@ class OmniMatchTrainer:
             status = "diverged"
             raise
         finally:
-            nn.set_graph_optimizer(previous_graph)
             self._finish_run(status, history)
         if best_state is not None:
             self.model.load_state_dict(best_state)

@@ -7,14 +7,6 @@ the small slice of PyTorch the paper's implementation relies on.
 
 from .attention import MultiHeadSelfAttention, TransformerEncoder, TransformerEncoderLayer
 from .conv import TextConv, clear_conv_workspace, conv_bank_pool
-from .graph import (
-    Arena,
-    GraphOptimizer,
-    graph_scope,
-    set_graph_optimizer,
-    tape_ops,
-    tape_size,
-)
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, ReLU
 from .loss import (
     CrossEntropyLoss,
@@ -60,12 +52,6 @@ __all__ = [
     "tensor_stats_enabled",
     "tensor_stats",
     "reset_tensor_stats",
-    "Arena",
-    "GraphOptimizer",
-    "set_graph_optimizer",
-    "graph_scope",
-    "tape_ops",
-    "tape_size",
     "clear_conv_workspace",
     "conv_bank_pool",
     "softmax_cross_entropy",

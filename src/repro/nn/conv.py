@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import init
 from . import tensor as _tensor
 from .module import Module, Parameter
-from .tensor import Tensor, _matmul_grad
+from .tensor import Tensor
 
 __all__ = [
     "conv_bank_pool",
@@ -52,22 +52,6 @@ def clear_conv_workspace() -> None:
     _BUF_STAMPS.clear()
     _HANDOUTS.clear()
     _PAD_BUFFERS.clear()
-
-
-def _zeros_scratch(shape: tuple[int, ...], dtype: np.dtype) -> tuple[np.ndarray, bool]:
-    """Zeroed step-scoped scratch, served from the graph arena when active.
-
-    ``buf.fill(0)`` on a warm recycled buffer replaces a fresh ``np.zeros``
-    (a calloc whose pages fault in on first touch every step) and produces
-    the same bits, so the fused-kernel backwards stay replay-identical.
-    """
-    graph = _tensor._GRAPH
-    if graph is not None and _tensor._GRAD_ENABLED:
-        buf = graph.arena.request(shape, dtype)
-        if buf is not None:
-            buf.fill(0)
-            return buf, True
-    return np.zeros(shape, dtype=dtype), False
 
 
 def _im2col(x_data: np.ndarray, kernel_size: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -180,15 +164,9 @@ def conv_bank_pool(
     # One wide GEMM against the zero-extended kernels. Splitting this per
     # kernel width (to skip the ~20% zero-tap FLOPs) measures ~30% *slower*:
     # narrow GEMMs waste more BLAS efficiency than the dead taps cost.
-    # The feature-map scratch is recycled through the graph arena; every
-    # element is overwritten by the GEMM, so reuse cannot change the bits.
-    full2d = None
-    graph = _tensor._GRAPH
-    if graph is not None and _tensor._GRAD_ENABLED:
-        full2d = graph.arena.request((batch * t_out_pad, total_f), dtype)
-    if full2d is None:
-        full2d = np.empty((batch * t_out_pad, total_f), dtype=dtype)
-    np.matmul(cols, w_all.T, out=full2d)
+    full2d = cols @ w_all.T
+    if _tensor._TENSOR_STATS_ENABLED:
+        _tensor._TENSOR_STATS["matmul_flops"] += 2 * full2d.size * cols.shape[1]
     full = full2d.reshape(batch, t_out_pad, total_f)
     full += bias_all
     np.maximum(full, 0.0, out=full)
@@ -252,12 +230,7 @@ def conv_bank_pool(
             g3 = g.reshape(batch, num_k, 2 * f_each)
             g_max = g3[:, :, :f_each]
             g_mean = g3[:, :, f_each:]
-            graph = _tensor._GRAPH
-            grad_full = None
-            if graph is not None and _tensor._GRAD_ENABLED:
-                grad_full = graph.arena.request(full.shape, full.dtype)
-            if grad_full is None:
-                grad_full = np.empty(full.shape, dtype=full.dtype)
+            grad_full = np.empty(full.shape, dtype=full.dtype)
             gf4 = grad_full.reshape(batch, t_out_pad, num_k, f_each)
             # The mean gradient is one broadcast outer product over the whole
             # buffer (tail weights are zero, so tail rows land on exact
@@ -271,7 +244,7 @@ def conv_bank_pool(
             vals += g_max[:, None, :, :]
             np.put_along_axis(gf4, winners, vals, axis=1)
         else:
-            grad_full, _ = _zeros_scratch(full.shape, full.dtype)
+            grad_full = np.zeros(full.shape, dtype=full.dtype)
             col = 0
             for i, (t_out, winners, normalized) in enumerate(saved):
                 width = filter_counts[i]
@@ -305,7 +278,7 @@ def conv_bank_pool(
                 if pool is not None and len(pool) < _MAX_POOL:
                     pool.append(np.empty_like(pool[0]))
                 bank_cols, _, _ = _padded_cols(x.data, kernel_max, pad)
-            grad_w_all, _ = _matmul_grad(grad2d.T, bank_cols)
+            grad_w_all = grad2d.T @ bank_cols
             for i, (w, k) in enumerate(zip(weights, kernel_sizes)):
                 if w.requires_grad:
                     gw = grad_w_all[offsets[i] : offsets[i + 1], : k * embed_dim]
@@ -316,12 +289,11 @@ def conv_bank_pool(
                 if b is not None and b.requires_grad:
                     b._accumulate(gb_all[offsets[i] : offsets[i + 1]].copy(), owned=True)
         if x.requires_grad:
-            gcols, _ = _matmul_grad(grad2d, w_all)
-            gcols = gcols.reshape(batch, t_out_pad, kernel_max, embed_dim)
-            grad_xpad, served = _zeros_scratch((batch, seq_len + pad, embed_dim), dtype)
+            gcols = (grad2d @ w_all).reshape(batch, t_out_pad, kernel_max, embed_dim)
+            grad_xpad = np.zeros((batch, seq_len + pad, embed_dim), dtype=dtype)
             for offset in range(kernel_max):
                 grad_xpad[:, offset : offset + t_out_pad, :] += gcols[:, :, offset, :]
-            x._accumulate(grad_xpad[:, :seq_len, :], owned=True, arena=served)
+            x._accumulate(grad_xpad[:, :seq_len, :], owned=True)
 
     parents = (x, *weights, *(b for b in biases if b is not None))
     return Tensor._make(out, parents, backward)

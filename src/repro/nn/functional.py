@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _matmul_arena, as_tensor, get_default_dtype
+from . import tensor as _tensor
+from .tensor import Tensor, as_tensor, get_default_dtype
 
 __all__ = [
     "relu",
@@ -104,7 +105,9 @@ def linear_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     """
     if x.data.ndim != 2:
         raise ValueError(f"linear_relu expects 2-D input, got shape {x.data.shape}")
-    out_data, served = _matmul_arena(x.data, weight.data.T)
+    out_data = x.data @ weight.data.T
+    if _tensor._TENSOR_STATS_ENABLED:
+        _tensor._TENSOR_STATS["matmul_flops"] += 2 * out_data.size * x.data.shape[1]
     if bias is not None:
         out_data += bias.data
     np.maximum(out_data, 0.0, out=out_data)
@@ -113,16 +116,14 @@ def linear_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     def backward(grad: np.ndarray) -> None:
         masked = grad * mask
         if x.requires_grad:
-            g, from_arena = _matmul_arena(masked, weight.data)
-            x._accumulate(g, owned=True, arena=from_arena)
+            x._accumulate(masked @ weight.data, owned=True)
         if weight.requires_grad:
-            g, from_arena = _matmul_arena(masked.T, x.data)
-            weight._accumulate(g, owned=True, arena=from_arena)
+            weight._accumulate(masked.T @ x.data, owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(masked.sum(axis=0), owned=True)
 
     parents = (x, weight) + ((bias,) if bias is not None else ())
-    return Tensor._make(out_data, parents, backward, op="linear_relu", arena=served)
+    return Tensor._make(out_data, parents, backward)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .module import Parameter
-from .tensor import _step_boundary
+from .tensor import _mark_step
 
 __all__ = ["Optimizer", "SGD", "Adam", "Adadelta", "clip_grad_norm"]
 
@@ -164,9 +164,7 @@ class SGD(Optimizer):
             else:
                 update = grad
             param.data -= self.lr * update
-        # Step boundary: recycle the graph optimizer's arena (gradients are
-        # consumed, the step's activations are dead) and mark peak stats.
-        _step_boundary()
+        _mark_step()
 
 
 class Adam(Optimizer):
@@ -224,7 +222,7 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        _step_boundary()
+        _mark_step()
 
 
 class Adadelta(Optimizer):
@@ -308,4 +306,4 @@ class Adadelta(Optimizer):
             sq_delta += b
             a *= self.lr
             param.data -= a
-        _step_boundary()
+        _mark_step()

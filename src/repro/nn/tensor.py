@@ -102,6 +102,9 @@ _TENSOR_STATS = {
     "matmul_flops": 0,
     "backward_bytes": 0,
     "peak_bytes": 0,
+    # Always 0: nothing feeds them since the tape graph optimizer was
+    # removed. perfbench/pipeline.py still reads them as deltas; ROADMAP
+    # item 12 drops them together with its reader.
     "arena_hits": 0,
     "arena_misses": 0,
     "fused_ops": 0,
@@ -111,29 +114,14 @@ _TENSOR_STATS = {
 # boundary; _mark_step() turns the delta since then into ``peak_bytes``.
 _STEP_BASE = [0]
 
-# The active graph optimizer (repro.nn.graph.GraphOptimizer) or None.
-# Installed via _set_graph() so tensor ops can serve output buffers from
-# its arena and hand fresh nodes to its fusion pass without importing the
-# graph module (which imports this one).
-_GRAPH = None
-
-# Mirror of the active arena's ``min_bytes``, kept as a module global so hot
-# call sites can decline small buffers with one attribute-free comparison
-# instead of a ``request`` call that would decline them anyway.
-_ARENA_MIN = 0
-
-
-def _set_graph(graph):
-    """Install ``graph`` as the active optimizer; returns the previous one."""
-    global _GRAPH, _ARENA_MIN
-    previous = _GRAPH
-    _GRAPH = graph
-    _ARENA_MIN = graph.arena.min_bytes if graph is not None else 0
-    return previous
-
 
 def _mark_step() -> None:
-    """Record an optimizer-step boundary for ``peak_bytes`` accounting."""
+    """Record an optimizer-step boundary for ``peak_bytes`` accounting.
+
+    Called from every ``Optimizer.step``, so each training loop (the
+    OmniMatch trainer and each baseline ``fit``) reports per-step peaks
+    without per-model wiring.
+    """
     if not _TENSOR_STATS_ENABLED:
         return
     current = _TENSOR_STATS["graph_bytes"] + _TENSOR_STATS["backward_bytes"]
@@ -141,20 +129,6 @@ def _mark_step() -> None:
     if delta > _TENSOR_STATS["peak_bytes"]:
         _TENSOR_STATS["peak_bytes"] = delta
     _STEP_BASE[0] = current
-
-
-def _step_boundary() -> None:
-    """Optimizer-step hook: cycle the arena and mark peak allocation.
-
-    Called from ``Optimizer.step`` implementations so every training loop —
-    the OmniMatch trainer and each baseline ``fit`` — gets per-step arena
-    recycling without per-model wiring.
-    """
-    graph = _GRAPH
-    if graph is not None:
-        graph.end_step()
-    elif _TENSOR_STATS_ENABLED:
-        _mark_step()
 
 
 def set_tensor_stats(enabled: bool) -> bool:
@@ -176,14 +150,15 @@ def tensor_stats() -> dict:
     ``graph_tensors`` counts every tensor created through the autograd graph
     helper (:meth:`Tensor._make`) while gradients are enabled — inference
     (``no_grad``) tensors are excluded so serving traffic does not inflate
-    training-graph stats. ``graph_bytes`` counts the *freshly allocated*
-    bytes behind those tensors (outputs served from the graph arena count as
-    ``arena_hits``/``arena_misses`` instead), ``backward_bytes`` counts
-    freshly allocated gradient storage, ``peak_bytes`` is the largest fresh
-    allocation footprint observed in a single optimizer step, ``fused_ops``
-    counts tape nodes absorbed by the graph optimizer's fusion pass, and
-    ``matmul_flops`` counts ``2 * m * n * k`` multiply-adds per ``@``
-    forward pass.
+    training-graph stats. ``graph_bytes`` counts the bytes of every one of
+    those tensors' outputs (each is a fresh array), ``backward_bytes``
+    counts freshly allocated gradient storage, ``peak_bytes`` is the largest
+    fresh allocation footprint observed in a single optimizer step, and
+    ``matmul_flops`` counts ``2 * m * n * k`` multiply-adds per forward
+    GEMM: every ``@`` plus the GEMMs inside the fused kernels
+    (``linear_relu``, ``conv_bank_pool``). ``arena_hits``, ``arena_misses``
+    and ``fused_ops`` always read 0; they stay only because
+    ``perfbench/pipeline.py`` still reads them.
     """
     return dict(_TENSOR_STATS)
 
@@ -267,64 +242,6 @@ def _segment_sum_rows(
     return summed.reshape(num_rows, cols).astype(grad.dtype, copy=False)
 
 
-def _ew_binary(ufunc, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Apply a binary ufunc, writing into a graph-arena buffer when active.
-
-    Returns ``(result, served)`` — ``served`` tells :meth:`Tensor._make`
-    whether the output bytes came from the arena (and therefore should not
-    count as a fresh allocation). ``ufunc(a, b, out=buf)`` computes exactly
-    the same values as ``ufunc(a, b)``, so arena service never changes bits.
-    """
-    if (
-        _GRAPH is not None
-        and _GRAD_ENABLED
-        and a.dtype == b.dtype
-        and (a.nbytes >= _ARENA_MIN or b.nbytes >= _ARENA_MIN)
-    ):
-        shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
-        buf = _GRAPH.arena.request(shape, a.dtype)
-        if buf is not None:
-            return ufunc(a, b, out=buf), True
-    return ufunc(a, b), False
-
-
-def _ew_unary(ufunc, a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Unary counterpart of :func:`_ew_binary`."""
-    if _GRAPH is not None and _GRAD_ENABLED and a.nbytes >= _ARENA_MIN:
-        buf = _GRAPH.arena.request(a.shape, a.dtype)
-        if buf is not None:
-            return ufunc(a, out=buf), True
-    return ufunc(a), False
-
-
-def _matmul_grad(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``a @ b`` with the result ownership flag the accumulate path expects.
-
-    The conv kernels' gradient GEMMs are deliberately *not* served from the
-    graph arena: their big-K reduction shapes take a measurably slower
-    ``np.matmul(..., out=)`` BLAS path than a fresh ``a @ b``, so recycling
-    would cost more than the allocation it saves. The constant False keeps
-    call sites uniform with :func:`_matmul_arena` and the ufunc helpers.
-    """
-    return a @ b, False
-
-
-def _matmul_arena(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
-    """2-D ``a @ b`` into a recycled arena buffer when one is available.
-
-    Used by the dense-layer kernels, whose GEMM shapes pay no measurable
-    ``out=`` penalty (unlike the conv gradient reductions — see
-    :func:`_matmul_grad`); ``np.matmul(..., out=)`` computes the same bits
-    as ``@``.
-    """
-    if _GRAPH is not None and _GRAD_ENABLED and a.dtype == b.dtype:
-        if a.shape[0] * b.shape[1] * a.itemsize >= _ARENA_MIN:
-            buf = _GRAPH.arena.request((a.shape[0], b.shape[1]), a.dtype)
-            if buf is not None:
-                return np.matmul(a, b, out=buf), True
-    return a @ b, False
-
-
 class Tensor:
     """A numpy-backed tensor that records operations for backpropagation."""
 
@@ -335,11 +252,6 @@ class Tensor:
         "_backward",
         "_parents",
         "name",
-        "_op",
-        "_users",
-        "_host",
-        "_fdepth",
-        "_pure",
     )
 
     def __init__(
@@ -363,17 +275,6 @@ class Tensor:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
-        # Tape IR bookkeeping, used by the graph optimizer (repro.nn.graph):
-        # the producing op's name, how many tape nodes consume this one, the
-        # (host, interior-list) pair when this node has been absorbed into a
-        # fused node, the accumulated fusion depth, and whether the node's
-        # entire backward region is covered by fused replay (pure = the
-        # backward DFS may skip its subtree).
-        self._op: str | None = None
-        self._users: int = 0
-        self._host: tuple | None = None
-        self._fdepth: int = 0
-        self._pure: bool = True
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -427,27 +328,27 @@ class Tensor:
         data: np.ndarray,
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
-        op: str | None = None,
-        arena: bool = False,
     ) -> "Tensor":
+        """Record one tape node: ``data`` computed from ``parents``.
+
+        The node keeps ``backward`` and the parents that require grad, so
+        :meth:`backward` can replay the tape in reverse. Every op's output
+        is a fresh array, so under ``REPRO_TENSOR_STATS`` its bytes count
+        toward ``graph_bytes``.
+        """
         out = Tensor(data)
-        out._op = op
         if _TENSOR_STATS_ENABLED and _GRAD_ENABLED:
             # no_grad (inference) tensors are deliberately excluded so
-            # serving traffic does not inflate training-graph stats;
-            # arena-served outputs are reuses, not fresh allocations.
+            # serving traffic does not inflate training-graph stats.
             _TENSOR_STATS["graph_tensors"] += 1
-            if not arena:
-                _TENSOR_STATS["graph_bytes"] += out.data.nbytes
+            _TENSOR_STATS["graph_bytes"] += out.data.nbytes
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
-            if _GRAPH is not None:
-                _GRAPH.absorb(out)
         return out
 
-    def _accumulate(self, grad: np.ndarray, owned: bool = False, arena: bool = False) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
             # ``owned=True`` promises the caller freshly allocated ``grad``
@@ -455,23 +356,9 @@ class Tensor:
             # ``self.grad`` independent of caller-held buffers can be
             # skipped — backwards on the hot path hand over arrays they
             # just built (GEMM outputs, zeros+scatter results).
-            # ``arena=True`` additionally marks ``grad`` as served from the
-            # graph arena, so it is not counted as a fresh allocation.
-            if owned:
-                self.grad = grad
-                if _TENSOR_STATS_ENABLED and not arena:
-                    _TENSOR_STATS["backward_bytes"] += grad.nbytes
-            else:
-                buf = None
-                if _GRAPH is not None and grad.nbytes >= _ARENA_MIN:
-                    buf = _GRAPH.arena.request(grad.shape, grad.dtype)
-                if buf is not None:
-                    np.copyto(buf, grad)
-                    self.grad = buf
-                else:
-                    self.grad = grad.copy()
-                    if _TENSOR_STATS_ENABLED:
-                        _TENSOR_STATS["backward_bytes"] += grad.nbytes
+            self.grad = grad if owned else grad.copy()
+            if _TENSOR_STATS_ENABLED:
+                _TENSOR_STATS["backward_bytes"] += grad.nbytes
         else:
             self.grad += grad
 
@@ -508,12 +395,6 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                # A parent absorbed into a fused node whose whole region is
-                # replayed (pure) contains no junction that needs a slot in
-                # the global pass — skip its subtree entirely. This is where
-                # fusion shortens the tape walk.
-                if parent._host is not None and parent._pure:
-                    continue
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
@@ -534,8 +415,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(grad)
 
-        out_data, served = _ew_binary(np.add, self.data, other.data)
-        return Tensor._make(out_data, (self, other), backward, op="add", arena=served)
+        return Tensor._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -548,8 +428,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(-grad)
 
-        out_data, served = _ew_binary(np.subtract, self.data, other.data)
-        return Tensor._make(out_data, (self, other), backward, op="sub", arena=served)
+        return Tensor._make(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other: "Tensor | float") -> "Tensor":
         return as_tensor(other, dtype=self.data.dtype) - self
@@ -563,8 +442,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(grad * self.data)
 
-        out_data, served = _ew_binary(np.multiply, self.data, other.data)
-        return Tensor._make(out_data, (self, other), backward, op="mul", arena=served)
+        return Tensor._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -577,8 +455,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(-grad * self.data / (other.data**2))
 
-        out_data, served = _ew_binary(np.divide, self.data, other.data)
-        return Tensor._make(out_data, (self, other), backward, op="div", arena=served)
+        return Tensor._make(self.data / other.data, (self, other), backward)
 
     def __rtruediv__(self, other: "Tensor | float") -> "Tensor":
         return as_tensor(other, dtype=self.data.dtype) / self
@@ -587,8 +464,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        out_data, served = _ew_unary(np.negative, self.data)
-        return Tensor._make(out_data, (self,), backward, op="neg", arena=served)
+        return Tensor._make(-self.data, (self,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -597,7 +473,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor._make(self.data**exponent, (self,), backward, op="pow")
+        return Tensor._make(self.data**exponent, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = as_tensor(other, dtype=self.data.dtype)
@@ -613,67 +489,51 @@ class Tensor:
                 if other.data.ndim == 1:
                     self._accumulate(np.outer(grad, other.data) if self.data.ndim == 2 else grad * other.data)
                 else:
-                    g, from_arena = _matmul_grad(grad, np.swapaxes(other.data, -1, -2))
-                    self._accumulate(g, owned=True, arena=from_arena)
+                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
                     other._accumulate(np.outer(self.data, grad) if other.data.ndim == 2 else self.data * grad)
                 else:
-                    g, from_arena = _matmul_grad(np.swapaxes(self.data, -1, -2), grad)
-                    other._accumulate(g, owned=True, arena=from_arena)
+                    other._accumulate(np.swapaxes(self.data, -1, -2) @ grad, owned=True)
 
-        return Tensor._make(out_data, (self, other), backward, op="matmul")
+        return Tensor._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data, served = _ew_unary(np.exp, self.data)
+        out_data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
 
-        return Tensor._make(out_data, (self,), backward, op="exp", arena=served)
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
-        out_data, served = _ew_unary(np.log, self.data)
-        return Tensor._make(out_data, (self,), backward, op="log", arena=served)
+        return Tensor._make(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        out_data, served = _ew_unary(np.sqrt, self.data)
+        out_data = np.sqrt(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / (2.0 * out_data))
 
-        return Tensor._make(out_data, (self,), backward, op="sqrt", arena=served)
+        return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         """Elementwise max(0, x)."""
-        data = self.data
-        mask = None
-        buf = None
-        if _GRAPH is not None and _GRAD_ENABLED and data.nbytes >= _ARENA_MIN:
-            mbuf = _GRAPH.arena.request(data.shape, np.dtype(bool))
-            if mbuf is not None:
-                mask = np.greater(data, 0, out=mbuf)
-            buf = _GRAPH.arena.request(data.shape, data.dtype)
-        if mask is None:
-            mask = data > 0
+        mask = self.data > 0
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
 
-        if buf is not None:
-            out_data = np.multiply(data, mask, out=buf)
-        else:
-            out_data = data * mask
-        return Tensor._make(out_data, (self,), backward, op="relu", arena=buf is not None)
+        return Tensor._make(self.data * mask, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid."""
@@ -682,16 +542,16 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return Tensor._make(out_data, (self,), backward, op="sigmoid")
+        return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data, served = _ew_unary(np.tanh, self.data)
+        out_data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data**2))
 
-        return Tensor._make(out_data, (self,), backward, op="tanh", arena=served)
+        return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value."""
@@ -700,7 +560,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * sign)
 
-        return Tensor._make(np.abs(self.data), (self,), backward, op="abs")
+        return Tensor._make(np.abs(self.data), (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -715,7 +575,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        return Tensor._make(out_data, (self,), backward, op="sum")
+        return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         """Arithmetic mean over ``axis`` (all axes when None)."""
@@ -743,19 +603,11 @@ class Tensor:
             g = np.asarray(grad)
             if not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            full = None
-            from_arena = False
-            if _GRAPH is not None and self.data.nbytes >= _ARENA_MIN:
-                full = _GRAPH.arena.request(self.data.shape, self.data.dtype)
-            if full is not None:
-                full.fill(0)
-                from_arena = True
-            else:
-                full = np.zeros_like(self.data)
+            full = np.zeros_like(self.data)
             np.put_along_axis(full, winners, g, axis=axis)
-            self._accumulate(full, owned=True, arena=from_arena)
+            self._accumulate(full, owned=True)
 
-        return Tensor._make(out_data, (self,), backward, op="max")
+        return Tensor._make(out_data, (self,), backward)
 
     def min(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Minimum over ``axis`` (implemented as ``-max(-x)``)."""
@@ -773,7 +625,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
 
-        return Tensor._make(self.data.reshape(shape), (self,), backward, op="reshape")
+        return Tensor._make(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
         """Permute axes (full reversal when ``axes`` is None)."""
@@ -784,7 +636,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
-        return Tensor._make(self.data.transpose(axes), (self,), backward, op="transpose")
+        return Tensor._make(self.data.transpose(axes), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         fast_rows = (
@@ -805,7 +657,7 @@ class Tensor:
                 np.add.at(full, index, grad)
             self._accumulate(full, owned=True)
 
-        return Tensor._make(self.data[index], (self,), backward, op="getitem")
+        return Tensor._make(self.data[index], (self,), backward)
 
     def take_rows(self, indices: np.ndarray) -> "Tensor":
         """Gather rows (axis 0) — the embedding-lookup primitive."""
@@ -818,9 +670,7 @@ class Tensor:
             ).reshape(self.data.shape)
             self._accumulate(full, owned=True)
 
-        # Gathers stay on the fancy-index path: ``np.take(..., out=)`` into a
-        # recycled buffer measured slower than a fresh ``data[indices]``.
-        return Tensor._make(self.data[indices], (self,), backward, op="take_rows")
+        return Tensor._make(self.data[indices], (self,), backward)
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable, return arrays)
@@ -862,7 +712,7 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
                 tensor._accumulate(grad[tuple(slicer)])
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return Tensor._make(data, tuple(tensors), backward, op="concat")
+    return Tensor._make(data, tuple(tensors), backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -876,4 +726,4 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 tensor._accumulate(piece)
 
     data = np.stack([t.data for t in tensors], axis=axis)
-    return Tensor._make(data, tuple(tensors), backward, op="stack")
+    return Tensor._make(data, tuple(tensors), backward)

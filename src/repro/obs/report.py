@@ -54,8 +54,8 @@ def summarize_run(events: list[dict]) -> dict:
     and numeric fields, plus per-call ``p50``/``p95`` when every event of
     the group is a single call) / ``metrics`` (``{component: latest
     snapshot}``) / ``health`` (counts by health kind) / ``final`` (last
-    epoch's metrics) / ``alloc`` (summed per-epoch allocation counters from
-    the graph optimizer, when the run emitted them) / ``trials``
+    epoch's metrics) / ``alloc`` (summed per-epoch allocation counters, when
+    the run emitted them) / ``trials``
     (evaluation results) / ``checkpoints`` (written count) / ``workers`` /
     ``tasks`` / ``daemon`` / ``tune``.
     """
@@ -335,14 +335,8 @@ def render_report(events: list[dict]) -> str:
 
     if summary["alloc"]:
         alloc = summary["alloc"]
-        hits = alloc.get("arena_hits", 0)
-        misses = alloc.get("arena_misses", 0)
-        requests = hits + misses
-        hit_rate = hits / requests if requests else 0.0
         parts = [
             f"peak {_format_bytes(alloc.get('peak_bytes', 0))}/step",
-            f"arena {hit_rate:.1%} hit ({hits}/{requests})",
-            f"fused {alloc.get('fused_ops', 0)} ops",
             f"fwd {_format_bytes(alloc.get('graph_bytes', 0))}",
             f"bwd {_format_bytes(alloc.get('backward_bytes', 0))}",
         ]

@@ -43,7 +43,7 @@ def tensor_max(x, axis, keepdims=False):
             g = np.expand_dims(g, axis=axis)
         x._accumulate(mask * g / counts, owned=True)
 
-    return Tensor._make(out_data, (x,), backward, op="max")
+    return Tensor._make(out_data, (x,), backward)
 
 
 def max_over_time(x):
@@ -112,7 +112,7 @@ def conv1d_text(x, weight, bias=None, relu=False):
             x._accumulate(grad_x, owned=True)
 
     parents = (x, weight) + ((bias,) if bias is not None else ())
-    return Tensor._make(out_data, parents, backward, op="conv1d_text")
+    return Tensor._make(out_data, parents, backward)
 
 
 def conv1d_composed(x, weight, bias=None, relu=False):

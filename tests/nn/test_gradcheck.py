@@ -13,6 +13,7 @@ import repro.nn as nn
 from repro.nn import functional as F
 
 from . import reference
+from .gradcheck import gradcheck
 
 SETTLE = dict(max_examples=25, deadline=None)
 
@@ -176,3 +177,25 @@ class TestCompositeGradients:
             index = np.unravel_index(flat, x_data.shape)
             numeric = finite_diff(lambda d: np.array(numpy_loss(d)), x_data, index)
             assert abs(analytic[index] - numeric) < 1e-5
+
+
+class TestSharedNodeGradients:
+    """One activation feeding several consumers: the tape must sum every
+    consumer's contribution at the junction before backpropagating past
+    it (exhaustive finite differences, float64)."""
+
+    def test_residual(self):
+        lin = nn.Linear(4, 4, np.random.default_rng(6))
+        x = nn.Tensor(np.random.default_rng(7).normal(size=(3, 4)),
+                      requires_grad=True, dtype=np.float64)
+        assert gradcheck(lambda t: (t + lin(t).relu()).tanh(), [x])
+
+    def test_three_way_fan_out(self):
+        x = nn.Tensor(np.random.default_rng(9).normal(size=(4, 4)),
+                      requires_grad=True, dtype=np.float64)
+
+        def fan_out(t):
+            h = (t * 3.0).tanh()
+            return (h.exp().sum() + (h * h).sum()) - (h / 2.0).sum()
+
+        assert gradcheck(fan_out, [x])

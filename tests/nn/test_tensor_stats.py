@@ -50,6 +50,24 @@ class TestCounting:
         _ = a @ v
         assert nn.tensor_stats()["matmul_flops"] == 2 * 3 * 4
 
+    def test_linear_relu_flops_counted(self, stats_on):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+        b = Tensor(np.zeros(6), requires_grad=True)
+        _ = nn.functional.linear_relu(x, w, b)
+        # one (4, 8) @ (8, 6) forward GEMM
+        assert nn.tensor_stats()["matmul_flops"] == 2 * 4 * 6 * 8
+
+    def test_conv_bank_flops_counted(self, stats_on):
+        conv = nn.TextConv(embed_dim=5, num_filters=3, kernel_sizes=(2, 3),
+                           rng=np.random.default_rng(1), pooling="max_mean")
+        x = Tensor(np.random.default_rng(2).normal(size=(2, 7, 5)), requires_grad=True)
+        _ = conv(x)
+        # One wide GEMM over the right-padded input: kernel_max = 3,
+        # t_out_pad = 7 + 1 - 3 + 1 = 6, so (2 * 6, 3 * 5) @ (15, 2 * 3).
+        assert nn.tensor_stats()["matmul_flops"] == 2 * (2 * 6) * 6 * 15
+
     def test_counters_accumulate_and_reset(self, stats_on):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         _ = a @ a
