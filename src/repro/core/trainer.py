@@ -50,7 +50,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -101,9 +101,9 @@ class HealthEvent:
 
     ``kind`` is one of ``nonfinite_loss`` / ``nonfinite_grad`` (detection),
     ``rollback`` / ``lr_backoff`` (recovery actions),
-    ``checkpoint`` (a training checkpoint was written), ``resume``
-    (training restarted from a checkpoint), or ``preempt`` (the
-    ``stop_check`` hook requested a cooperative stop at an epoch boundary).
+    ``checkpoint`` (a training checkpoint was written), or ``resume``
+    (training restarted from a checkpoint). A checkpoint's health log is
+    read back as-is, so kinds written by older versions still load.
     """
 
     epoch: int
@@ -353,7 +353,6 @@ class OmniMatchTrainer:
         checkpoint_dir: str | os.PathLike | None = None,
         keep_last: int = 3,
         fault_injector: "FaultInjector | None" = None,
-        stop_check: "Callable[[], bool] | None" = None,
     ) -> TrainResult:
         """Train for up to ``epochs`` (default: config.epochs) and return artifacts.
 
@@ -385,18 +384,6 @@ class OmniMatchTrainer:
 
         ``fault_injector`` is a test-harness hook (see :mod:`repro.faults`).
 
-        Preemption
-        ----------
-        ``stop_check`` is a zero-argument callable polled after every
-        completed epoch; returning ``True`` requests a *cooperative* stop.
-        The just-finished epoch is checkpointed (when checkpointing is
-        configured) even off the ``checkpoint_every`` cadence, a ``preempt``
-        health event is recorded, and ``fit`` returns normally with
-        ``run_end`` status ``"preempted"``. Because preemption lands
-        exactly on an epoch boundary, resuming the run later is
-        bit-identical to never having been preempted — this is how the
-        ASHA tuner kills losing trials without losing their work.
-
         Telemetry
         ---------
         With a :class:`repro.obs.TelemetrySink` attached (constructor
@@ -416,7 +403,6 @@ class OmniMatchTrainer:
                 checkpoint_dir=checkpoint_dir,
                 keep_last=keep_last,
                 fault_injector=fault_injector,
-                stop_check=stop_check,
             )
 
     def _fit(
@@ -429,7 +415,6 @@ class OmniMatchTrainer:
         checkpoint_dir: str | os.PathLike | None,
         keep_last: int,
         fault_injector: "FaultInjector | None",
-        stop_check: "Callable[[], bool] | None" = None,
     ) -> TrainResult:
         from . import checkpoint as ckpt_io  # local import: cycle guard
 
@@ -604,15 +589,6 @@ class OmniMatchTrainer:
                     **extra,
                 )
                 stopping = False
-                # Poll for cooperative preemption at the epoch boundary so
-                # the stop lands on checkpointable state: resume later is
-                # then bit-identical to never having stopped.
-                preempted = stop_check is not None and bool(stop_check())
-                if preempted:
-                    self._note_health(health, HealthEvent(
-                        epoch=epoch, kind="preempt",
-                        detail="stop_check requested cooperative stop",
-                    ))
                 if self.config.early_stopping and stats.valid_rmse is not None:
                     if stats.valid_rmse < best_rmse - 1e-6:
                         best_rmse = stats.valid_rmse
@@ -630,8 +606,7 @@ class OmniMatchTrainer:
                         stale += 1
                         stopping = stale >= self.config.patience
                 if checkpoint_every and (
-                    epoch % checkpoint_every == 0 or epoch == epochs
-                    or stopping or preempted
+                    epoch % checkpoint_every == 0 or epoch == epochs or stopping
                 ):
                     target = Path(checkpoint_dir) / ckpt_io.checkpoint_directory_name(epoch)
                     ckpt_io.write_training_checkpoint(
@@ -645,14 +620,10 @@ class OmniMatchTrainer:
                     self._note_health(health, HealthEvent(
                         epoch=epoch, kind="checkpoint", detail=str(target),
                     ))
-                if preempted:
-                    status = "preempted"
-                    break
                 if stopping:
                     break
                 epoch += 1
-            if status == "aborted":
-                status = "completed"
+            status = "completed"
         except TrainingDivergedError:
             status = "diverged"
             raise

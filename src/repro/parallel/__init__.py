@@ -8,7 +8,7 @@ once by the parent (:mod:`~repro.parallel.shm`,
 :mod:`~repro.parallel.sharing`). Worker processes are created in one
 place, :mod:`~repro.parallel.supervisor` (spawn, death detection,
 respawn, stop), which runs the serving daemon's fleet and
-:mod:`~repro.parallel.pool`, the cancelable task pool with crash requeue
+:mod:`~repro.parallel.pool`, the task pool with crash requeue
 and telemetry sharding; :mod:`~repro.parallel.engine` (experiment cells)
 and the hyperparameter tuner are workloads on that pool.
 """

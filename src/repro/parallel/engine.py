@@ -2,8 +2,8 @@
 
 The engine takes a list of :class:`ExperimentTask` cells — each "run
 method M on scenario S for trials T with seed σ" — and executes them as a
-:class:`~repro.parallel.pool.TaskPool` workload (submit every cell, drain,
-cancel nothing), either inline (``workers < 2``) or across worker
+:class:`~repro.parallel.pool.TaskPool` workload (submit every cell,
+drain), either inline (``workers < 2``) or across worker
 processes, with **bit-identical results** in both modes and against a
 plain serial :func:`~repro.eval.protocol.run_experiment` loop. The
 contract rests on three facts:

@@ -28,10 +28,12 @@ means for work in flight, stays with the caller.
   housekeeping tick. :meth:`~WorkerSupervisor.receive` returns the
   replies that arrived; call it from one thread only, the fleet's single
   reader. No background thread is hidden inside the supervisor.
-* **Fork, daemonic, default signals.** Workers are forked, so they
-  inherit what the parent built and published before
-  :meth:`~WorkerSupervisor.start`, and daemonic, so a parent that exits
-  normally terminates them. The worker entry resets SIGTERM/SIGINT to
+* **Fork, fixed arguments, daemonic, default signals.** Workers are
+  forked, so they inherit what the parent built and published before
+  :meth:`~WorkerSupervisor.start` (a respawn inherits the parent's state
+  as of the respawn), and every generation receives the same fixed
+  arguments. They are daemonic, so a parent that exits normally
+  terminates them. The worker entry resets SIGTERM/SIGINT to
   their default action: a Python handler inherited from the parent (the
   shared-memory sweep of :mod:`repro.parallel.shm`) would otherwise run in
   the worker, and a worker stuck in a C-level wait would never run it and
@@ -188,20 +190,22 @@ def run_worker(
     generation: int,
     task_queue,
     result_conn,
-    setup: Callable[["TelemetrySink | None"], Callable[[Any], Any]],
+    setup: Callable[[WorkerShard], Callable[[Any], Any]],
     telemetry_dir=None,
     run_id: str | None = None,
     fault_plan=None,
 ) -> None:
     """The worker loop every fleet runs; returns once the sentinel arrives.
 
-    ``setup(sink)`` builds the fleet's per-worker state and returns the
-    message handler; each handler return value is sent back as the reply.
-    ``fault_plan`` (a :class:`~repro.faults.WorkerFaultPlan`) is applied
-    before each message with that message's unit index.
+    ``setup(shard)`` builds the fleet's per-worker state from the
+    generation's :class:`WorkerShard` (its slot, generation and telemetry
+    sink) and returns the message handler; each handler return value is
+    sent back as the reply. ``fault_plan`` (a
+    :class:`~repro.faults.WorkerFaultPlan`) is applied before each message
+    with that message's unit index.
     """
     shard = WorkerShard(slot, generation, telemetry_dir, run_id)
-    handle = setup(shard.sink)
+    handle = setup(shard)
     shard.start()
     result_conn.send(_READY)
     unit = 0
@@ -228,22 +232,18 @@ class WorkerSupervisor:
     """Own a fixed-size fleet of long-lived worker processes.
 
     Each generation runs ``target(slot, generation, task_queue,
-    result_conn, *args_fn(slot, generation))``, so the caller decides what
-    else a generation receives (shared-memory refs, cancel cells, a fault
-    plan). The target is expected to run :func:`run_worker`, which treats a
-    ``None`` message as the stop sentinel.
+    result_conn, *args)``: every generation of every slot receives the
+    same ``args`` (shared-memory refs, a set-up, a fault plan), and what
+    differs between them is the slot and generation alone. The target is
+    expected to run :func:`run_worker`, which treats a ``None`` message as
+    the stop sentinel.
     """
 
-    def __init__(
-        self,
-        target: Callable,
-        args_fn: Callable[[int, int], Sequence],
-        workers: int,
-    ) -> None:
+    def __init__(self, target: Callable, args: Sequence, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.target = target
-        self.args_fn = args_fn
+        self.args = tuple(args)
         self.workers = workers
         self.ctx = multiprocessing.get_context("fork")
         self._slots: dict[int, _Generation] = {}
@@ -262,7 +262,7 @@ class WorkerSupervisor:
             target=_worker_entry,
             args=(
                 self.target, slot, generation, task_queue, pipe.writer,
-                *self.args_fn(slot, generation),
+                *self.args,
             ),
             daemon=True,
         )

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..obs import get_active_sink
-from .ann import DEFAULT_ITERS, DEFAULT_NPROBE, IVFIndex, default_nlist
+from .ann import DEFAULT_NPROBE, IVFIndex, default_nlist
 from .blocking import (
     DEFAULT_BLOCK,
     encode_users,
@@ -126,7 +126,6 @@ class InferenceEngine:
         nprobe: int | None = None,
         ann_store: str = "float32",
         ann_seed: int | None = None,
-        ann_iters: int = DEFAULT_ITERS,
     ) -> None:
         """
         Parameters
@@ -164,8 +163,8 @@ class InferenceEngine:
             smaller) and routes off that. Re-ranking is always float32.
         ann_seed:
             K-means seeding RNG seed (default: the model's training seed).
-        ann_iters:
-            Lloyd's iteration cap for the coarse index build.
+            The coarse index runs at most
+            :data:`~repro.serve.ann.DEFAULT_ITERS` Lloyd's iterations.
         """
         if retrieval not in _RETRIEVALS:
             raise ValueError(f"retrieval must be one of {_RETRIEVALS}")
@@ -183,7 +182,6 @@ class InferenceEngine:
         self.nprobe = nprobe if nprobe is not None else DEFAULT_NPROBE
         self.ann_store = ann_store
         self.ann_seed = ann_seed if ann_seed is not None else self.model.config.seed
-        self.ann_iters = ann_iters
         self._ann: IVFIndex | None = None
         self._ann_key: tuple | None = None
         # Reusable scratch for the single-user catalog scorer: one
@@ -352,7 +350,6 @@ class InferenceEngine:
                 reprs,
                 nlist=nlist,
                 seed=self.ann_seed,
-                iters=self.ann_iters,
                 store=self.ann_store,
             )
             self._ann, self._ann_key = index, key

@@ -34,6 +34,11 @@ from .protocol import ServeClient
 
 __all__ = ["LoadTestConfig", "LoadTestResult", "build_schedule", "run_loadtest"]
 
+#: Pairs per score request.
+SCORE_PAIRS = 4
+#: Client-side patience per request.
+RESPONSE_TIMEOUT_S = 30.0
+
 
 @dataclass
 class LoadTestConfig:
@@ -47,12 +52,8 @@ class LoadTestConfig:
     zipf_s: float = 1.1
     #: Fraction of requests that are pair-scoring instead of recommend.
     score_fraction: float = 0.2
-    #: Pairs per score request.
-    score_pairs: int = 4
     #: Per-request daemon deadline (None = unbounded).
     deadline_ms: float | None = None
-    #: Client-side patience per request.
-    response_timeout_s: float = 30.0
     seed: int = 0
 
 
@@ -122,7 +123,7 @@ def build_schedule(
         user = users[int(rng.choice(len(users), p=user_weights))]
         if items and rng.random() < config.score_fraction:
             chosen = rng.choice(
-                len(items), size=min(config.score_pairs, len(items)), replace=False
+                len(items), size=min(SCORE_PAIRS, len(items)), replace=False
             )
             request = {
                 "op": "score",
@@ -209,7 +210,7 @@ def run_loadtest(
                 started = time.perf_counter()
                 try:
                     response = client.request(
-                        dict(request), timeout=config.response_timeout_s
+                        dict(request), timeout=RESPONSE_TIMEOUT_S
                     )
                 except (TimeoutError, ConnectionError):
                     with lock:

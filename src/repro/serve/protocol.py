@@ -120,11 +120,16 @@ def validate_request(message: dict) -> dict:
 
 
 def read_messages(stream) -> Iterator[dict]:
-    """Yield decoded messages from a binary line stream (a socket file)."""
-    for line in stream:
-        if not line.strip():
-            continue
-        yield decode_message(line)
+    """Yield decoded messages from a binary line stream (a socket file).
+
+    Reads at most ``MAX_LINE_BYTES + 1`` bytes per line, so an over-long
+    line raises :class:`ProtocolError` without being buffered whole.
+    """
+    while line := stream.readline(MAX_LINE_BYTES + 1):
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError(f"line exceeds {MAX_LINE_BYTES} bytes")
+        if line.strip():
+            yield decode_message(line)
 
 
 class ServeClient:

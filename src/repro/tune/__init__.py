@@ -6,10 +6,11 @@ flavour of ASHA): a declarative search space (:mod:`~repro.tune.space`)
 expands into an ordered trial list, rungs fan over the
 :class:`~repro.parallel.pool.TaskPool`, the scheduler
 (:mod:`~repro.tune.scheduler`) ranks each rung from the validation-RMSE
-stream in the telemetry shards, losing trials are killed at the barrier,
-and promoted trials resume from their checkpoints — never recomputing an
-epoch. Same spec + seed ⇒ same schedule, same kills, byte-identical
-``best_config.json``.
+stream in the telemetry shards, losing trials are killed at the barrier
+(every rung task has finished by then, so a kill just means the trial is
+never resubmitted), and promoted trials resume from their checkpoints —
+never recomputing an epoch. Same spec + seed ⇒ same schedule, same
+kills, byte-identical ``best_config.json``.
 """
 
 from .runner import TuneError, TuneResult, run_tuning, trained_epoch_census

@@ -11,8 +11,8 @@ The runner owns everything deterministic about a tune:
    the ``tune_trial`` events read back out of the telemetry shards — the
    per-epoch RMSE stream workers wrote is the scheduler's input, not the
    pool's return values;
-4. kills are "never resubmitted" (plus a defensive ``pool.cancel`` for
-   the requeue-safe path), promotions resume from the trial's checkpoint;
+4. killed trials are never resubmitted, and promotions resume from the
+   trial's checkpoint;
 5. the best-config artifact is serialized with sorted keys and no
    timestamps/paths, so two runs of the same ``(spec, seed)`` — or the
    same spec run inline vs. over workers — produce **byte-identical**
@@ -109,7 +109,7 @@ def _rung_scores(
         if (
             event.get("kind") == "tune_trial"
             and event.get("rung") == rung
-            and event.get("status") in ("done", "preempted")
+            and event.get("status") == "done"
         ):
             rmse = event.get("valid_rmse")
             scores[event["trial"]] = float("nan") if rmse is None else float(rmse)
@@ -232,10 +232,9 @@ def run_tuning(
             max_task_retries=max_task_retries, fault_plan=fault_plan,
         ) as pool:
             for rung_index, budget in enumerate(sched.budgets):
-                task_index: dict[int, int] = {}
                 for trial_id in alive:
                     trial = by_id[trial_id]
-                    task_index[trial_id] = pool.submit(
+                    pool.submit(
                         run_rung,
                         trial_id=trial_id,
                         rung=rung_index,
@@ -254,11 +253,7 @@ def run_tuning(
                     trial_rungs[trial_id][rung_index] = rmse
                 decision = sched.decide(rung_index, scores)
                 decisions.append(decision)
-                # Kills are "never resubmitted"; the explicit cancel is the
-                # requeue-safe path should a killed trial's task ever still
-                # be queued or running (it cannot be in synchronous rungs).
                 for trial_id in decision.killed:
-                    pool.cancel(task_index[trial_id])
                     killed_at[trial_id] = rung_index
                 parent_sink.emit(
                     "tune_rung",

@@ -5,10 +5,8 @@ budget. Rung 0 starts fresh; every later rung **resumes from the trial's
 newest checkpoint** (written by the previous rung at its final epoch) and
 trains only the marginal epochs — a promoted trial never recomputes an
 epoch it already paid for. Early stopping is disabled in trial configs
-(the scheduler owns stopping), ``validate_every=1`` records validation
-RMSE every epoch, and the pool's ``should_stop`` hook is wired through to
-``fit(stop_check=...)`` so a parent-side cancel preempts the trial at an
-epoch boundary with its checkpoint intact.
+(the scheduler owns stopping), so every rung runs to its budget, and
+``validate_every=1`` records validation RMSE every epoch.
 
 Telemetry is the load-bearing result path: every event the trainer emits
 during the rung is stamped with ``trial``/``rung`` by
@@ -97,7 +95,6 @@ def run_rung(
             checkpoint_every=budget,
             checkpoint_dir=trial_dir,
             keep_last=1,
-            stop_check=ctx.should_stop,
         )
 
     history = result.history
@@ -108,26 +105,25 @@ def run_rung(
         0,
     ) if resume else 0
     curve = {stats.epoch: stats.valid_rmse for stats in history}
-    final = history[-1] if history else None
-    status = "done" if history and final.epoch >= budget else "preempted"
+    final = history[-1]
     if ctx.sink is not None:
         ctx.sink.emit(
             "tune_trial",
             trial=trial_id,
             rung=rung,
-            status=status,
+            status="done",
             budget=budget,
-            epochs=final.epoch if final is not None else resumed_from,
-            valid_rmse=final.valid_rmse if final is not None else None,
+            epochs=final.epoch,
+            valid_rmse=final.valid_rmse,
             curve={str(epoch): rmse for epoch, rmse in sorted(curve.items())},
         )
         ctx.sink.flush()
     return {
         "trial": trial_id,
         "rung": rung,
-        "epochs": final.epoch if final is not None else resumed_from,
-        "valid_rmse": final.valid_rmse if final is not None else None,
+        "epochs": final.epoch,
+        "valid_rmse": final.valid_rmse,
         "resumed_from": resumed_from,
-        "status": status,
+        "status": "done",
         "checkpoint_dir": str(Path(trial_dir)),
     }

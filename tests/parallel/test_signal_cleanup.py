@@ -57,7 +57,7 @@ from repro.parallel.supervisor import run_worker
 
 STUBBORN = sys.argv[1] == "stubborn"
 
-def setup(sink):
+def setup(shard):
     if STUBBORN:  # survives SIGTERM once ready: only SIGKILL stops it
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
     return lambda message: message
@@ -66,7 +66,7 @@ def target(slot, generation, task_queue, result_conn):
     run_worker(slot, generation, task_queue, result_conn, setup)
 
 ShmPack.publish({'x': np.zeros(256)}, prefix='repro-sigterm')
-fleet = WorkerSupervisor(target, lambda slot, generation: (), workers=2)
+fleet = WorkerSupervisor(target, (), workers=2)
 fleet.start()
 while not fleet.is_ready():
     fleet.receive(0.1)

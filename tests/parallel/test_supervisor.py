@@ -16,7 +16,7 @@ from repro.parallel.supervisor import run_worker
 def echo_worker(slot, generation, task_queue, result_conn, fault_plan=None):
     """Doubles integers; 'die' exits like a SIGKILL; None stops."""
 
-    def setup(sink):
+    def setup(shard):
         def handle(message):
             if message == "die":
                 os._exit(9)
@@ -50,9 +50,7 @@ def sigterm_proof_worker(*_):
 
 
 def make_supervisor(workers=2, fault_plan=None):
-    return WorkerSupervisor(
-        echo_worker, lambda slot, generation: (fault_plan,), workers
-    )
+    return WorkerSupervisor(echo_worker, (fault_plan,), workers)
 
 
 def collect(supervisor, count, timeout=20.0):
@@ -199,7 +197,7 @@ class TestStopReapsEveryWorker:
     def test_wedged_workers_are_reaped_within_the_bound(
         self, target, python_sigterm_handler
     ):
-        supervisor = WorkerSupervisor(target, lambda *_: (), workers=2)
+        supervisor = WorkerSupervisor(target, (), workers=2)
         supervisor.start()
         pids = [supervisor.pid(slot) for slot in range(2)]
         time.sleep(0.3)  # let both workers reach the wedge

@@ -8,7 +8,12 @@ total number of divergences. The ASHA tuner's rung-resume depends on this.
 
 import pytest
 
-from repro.core import OmniMatchTrainer, read_training_checkpoint
+from repro.core import (
+    HealthEvent,
+    OmniMatchTrainer,
+    read_training_checkpoint,
+    write_training_checkpoint,
+)
 from repro.core.trainer import TrainingDivergedError
 from repro.faults import NonFiniteLossInjector
 
@@ -160,56 +165,31 @@ class TestRetryBudgetResume:
         assert len(resumed.history) == 5
 
 
-class TestCooperativePreemption:
-    """``stop_check`` stops at an epoch boundary with a checkpoint, so a
-    preempted-then-resumed run is bit-identical to an uninterrupted one."""
+class TestOldPreemptCheckpoint:
+    """Checkpoints written while the trainer could still stop cooperatively
+    end their health log with a ``preempt`` event; they must still read
+    and resume bit-identically."""
 
-    def test_preempt_checkpoints_off_cadence_and_resumes(self, world, tmp_path):
+    def test_checkpoint_with_preempt_event_resumes(self, world, tmp_path):
         config = tiny_config()
-        baseline = train_uninterrupted(world, config, 6)
+        baseline = train_uninterrupted(world, config, 4)
         dataset, split = world
-        polls = []
-
-        def stop_after_two_epochs():
-            polls.append(1)
-            return len(polls) >= 2
-
-        first = OmniMatchTrainer(dataset, split, config)
-        preempted = first.fit(
-            6, checkpoint_every=3, checkpoint_dir=tmp_path,
-            stop_check=stop_after_two_epochs,
+        OmniMatchTrainer(dataset, split, config).fit(
+            2, checkpoint_every=2, checkpoint_dir=tmp_path / "run"
         )
-        assert len(preempted.history) == 2
-        assert any(e.kind == "preempt" for e in preempted.health)
-        # Epoch 2 is off the checkpoint_every=3 cadence, but preemption
-        # forces a checkpoint there so no work is lost.
-        assert (tmp_path / "epoch-0002" / "MANIFEST.json").exists()
+        checkpoint = read_training_checkpoint(tmp_path / "run" / "epoch-0002")
+        checkpoint.health.append(HealthEvent(
+            epoch=2, kind="preempt", detail="stop_check requested cooperative stop",
+        ))
+        write_training_checkpoint(checkpoint, tmp_path / "old" / "epoch-0002")
+        loaded = read_training_checkpoint(tmp_path / "old" / "epoch-0002")
+        assert loaded.health[-1].kind == "preempt"
 
-        fresh = OmniMatchTrainer(dataset, split, config)
-        resumed = fresh.fit(6, resume_from=tmp_path)
+        resumed = OmniMatchTrainer(dataset, split, config).fit(
+            4, resume_from=tmp_path / "old"
+        )
+        assert any(e.kind == "preempt" for e in resumed.health)
         assert_histories_identical(baseline.history, resumed.history)
         assert_states_identical(
             baseline.model.state_dict(), resumed.model.state_dict()
         )
-
-    def test_stop_check_false_never_stops(self, world):
-        config = tiny_config()
-        result = train_uninterrupted(world, config, 3, stop_check=lambda: False)
-        assert len(result.history) == 3
-        assert not any(e.kind == "preempt" for e in result.health)
-
-    def test_preempt_emits_run_end_status(self, world, tmp_path):
-        from repro.obs import TelemetrySink, read_events
-
-        config = tiny_config()
-        dataset, split = world
-        sink = TelemetrySink(tmp_path / "obs", run_id="preempt")
-        trainer = OmniMatchTrainer(dataset, split, config, telemetry=sink)
-        trainer.fit(
-            6, checkpoint_every=1, checkpoint_dir=tmp_path / "run",
-            stop_check=lambda: True,
-        )
-        sink.close()
-        [end] = [e for e in read_events(sink.path) if e["kind"] == "run_end"]
-        assert end["status"] == "preempted"
-        assert end["epochs_trained"] == 1

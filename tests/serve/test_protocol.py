@@ -17,6 +17,24 @@ from repro.serve.protocol import (
 )
 
 
+class CountingStream(io.RawIOBase):
+    """``size`` bytes of ``x`` with no newline, counting the bytes read."""
+
+    def __init__(self, size):
+        self.remaining = size
+        self.consumed = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        count = min(len(buffer), self.remaining)
+        buffer[:count] = b"x" * count
+        self.remaining -= count
+        self.consumed += count
+        return count
+
+
 class TestFraming:
     def test_round_trip_is_exact(self):
         message = {"id": 7, "op": "recommend", "user": "u12", "k": 10}
@@ -48,6 +66,12 @@ class TestFraming:
     def test_read_messages_skips_blank_lines(self):
         stream = io.BytesIO(b'{"id":1}\n\n{"id":2}\n')
         assert [m["id"] for m in read_messages(stream)] == [1, 2]
+
+    def test_over_long_line_is_not_buffered_whole(self):
+        raw = CountingStream(4 * MAX_LINE_BYTES)  # one line, no newline
+        with pytest.raises(ProtocolError, match="exceeds"):
+            list(read_messages(io.BufferedReader(raw)))
+        assert raw.consumed <= MAX_LINE_BYTES + io.DEFAULT_BUFFER_SIZE
 
 
 class TestValidation:

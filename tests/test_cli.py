@@ -203,6 +203,33 @@ class TestCommands:
         assert "schema OK" in out
         assert "kernel_fallback" in out
 
+    def test_report_validates_preempted_run(self, tmp_path, capsys):
+        # A run.jsonl as versions with cooperative stops wrote it: a
+        # preempt health event, run_end "preempted" and a preempted rung.
+        import json
+
+        events = [
+            dict(kind="run_start", seed=0, epochs=3, train_interactions=10),
+            dict(kind="tune_trial", trial=0, rung=0, status="defined",
+                 params={"alpha": 0.1}),
+            dict(kind="epoch", epoch=1, seconds=0.1, samples=10,
+                 samples_per_sec=100.0, total=1.0, valid_rmse=1.2),
+            dict(kind="health", epoch=1, health_kind="preempt", batch=None,
+                 value=None, detail="stop_check requested cooperative stop"),
+            dict(kind="tune_trial", trial=0, rung=0, status="preempted",
+                 budget=3, epochs=1, valid_rmse=1.2, curve={"1": 1.2}),
+            dict(kind="run_end", status="preempted", epochs_trained=1),
+        ]
+        lines = [
+            json.dumps(dict(seq=seq, ts=1.0 + seq, run="old-tune", **event))
+            for seq, event in enumerate(events)
+        ]
+        (tmp_path / "run.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["report", str(tmp_path), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "schema OK" in out
+        assert "preempted" in out
+
     def test_report_missing_file_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["report", str(tmp_path / "nope.jsonl")])

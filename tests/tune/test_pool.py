@@ -1,16 +1,15 @@
-"""TaskPool: inline/worker parity, cancellation, preemption, chaos requeue."""
+"""TaskPool: inline/worker parity, chaos requeue, fork-inherited state."""
 
 import os
 import signal
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.faults import WorkerFaultPlan
+from repro.nn import get_default_dtype, set_default_dtype
 from repro.obs import merge_shards, read_events, validate_run_file
 from repro.parallel import TaskPool, TaskPoolError
 
@@ -37,45 +36,15 @@ def touch_and_return(ctx, path):
     return ctx.index
 
 
-def wait_for_cancel(ctx, started_path, deadline=15.0):
-    """Announce start, then poll ``should_stop`` — the cooperative idiom."""
-    with open(started_path, "w", encoding="utf-8") as handle:
-        handle.write(str(ctx.index))
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if ctx.should_stop():
-            return "stopped"
-        time.sleep(0.01)
-    return "timeout"
+def default_dtype_name(ctx):
+    return ctx.worker, ctx.generation, str(get_default_dtype())
 
 
-def die_on_cancel(ctx, started_path, deadline=15.0):
-    """Crash abruptly once cancelled: death-is-the-cancellation path."""
-    with open(started_path, "w", encoding="utf-8") as handle:
-        handle.write(str(ctx.index))
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if ctx.should_stop():
-            os._exit(117)
-        time.sleep(0.01)
-    return "timeout"
-
-
-def observe_stop(ctx):
-    return bool(ctx.should_stop())
-
-
-def _cancel_when_started(pool, index, started_path):
-    """Background thread: wait for the task to announce itself, then cancel."""
-
-    def run():
-        while not os.path.exists(started_path):
-            time.sleep(0.01)
-        pool.cancel(index)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return thread
+@pytest.fixture()
+def float32_default():
+    previous = set_default_dtype("float32")
+    yield
+    set_default_dtype(previous)
 
 
 class TestInlineMode:
@@ -88,44 +57,11 @@ class TestInlineMode:
         assert log.read_text().splitlines() == [str(i) for i in indices]
         assert all(outcomes[i].status == "ok" for i in indices)
 
-    def test_cancel_pending_never_runs(self, tmp_path):
-        log = tmp_path / "order.log"
-        with TaskPool(0) as pool:
-            first = pool.submit(touch_and_return, str(log))
-            second = pool.submit(touch_and_return, str(log))
-            assert pool.cancel(second) == "cancelled"
-            outcomes = pool.drain()
-        assert outcomes[first].status == "ok"
-        assert outcomes[second].status == "cancelled"
-        assert outcomes[second].cancel_requested
-        assert log.read_text().splitlines() == [str(first)]
-
     def test_error_raises_on_drain(self):
         with TaskPool(0) as pool:
             pool.submit(boom)
             with pytest.raises(TaskPoolError, match="deliberate task failure"):
                 pool.drain()
-
-    def test_error_collected_without_raise(self):
-        with TaskPool(0) as pool:
-            good = pool.submit(double, 4)
-            bad = pool.submit(boom)
-            outcomes = pool.drain(raise_on_error=False)
-        assert outcomes[good].value == 8
-        assert outcomes[bad].status == "error"
-        assert "deliberate task failure" in outcomes[bad].error
-
-    def test_cancel_statuses(self):
-        with TaskPool(0) as pool:
-            index = pool.submit(double, 1)
-            assert pool.cancel(999) == "unknown"
-            pool.drain()
-            assert pool.cancel(index) == "done"
-
-    def test_inline_never_stops(self):
-        with TaskPool(0) as pool:
-            index = pool.submit(observe_stop)
-            assert pool.drain()[index].value is False
 
     def test_closed_pool_rejects_submit(self):
         pool = TaskPool(0)
@@ -166,41 +102,6 @@ class TestWorkerMode:
         assert stats["kinds"]["worker_start"] == 2
         assert stats["kinds"]["worker_end"] == 2
 
-    def test_cooperative_cancel_of_running_task(self, tmp_path):
-        started = tmp_path / "started"
-        with TaskPool(2) as pool:
-            index = pool.submit(wait_for_cancel, str(started))
-            thread = _cancel_when_started(pool, index, str(started))
-            outcomes = pool.drain()
-            thread.join(timeout=5)
-        # A cooperative stop returns normally — the caller sees both the
-        # result and the fact that cancellation was requested.
-        assert outcomes[index].status == "ok"
-        assert outcomes[index].value == "stopped"
-        assert outcomes[index].cancel_requested
-
-    def test_death_with_cancel_pending_is_cancellation(self, tmp_path):
-        started = tmp_path / "started"
-        with TaskPool(2) as pool:
-            index = pool.submit(die_on_cancel, str(started))
-            thread = _cancel_when_started(pool, index, str(started))
-            outcomes = pool.drain()
-            thread.join(timeout=5)
-        assert outcomes[index].status == "cancelled"
-        assert outcomes[index].cancel_requested
-
-    def test_stale_cancel_never_leaks_to_next_task(self, tmp_path):
-        started = tmp_path / "started"
-        with TaskPool(2) as pool:
-            preempted = pool.submit(wait_for_cancel, str(started))
-            thread = _cancel_when_started(pool, preempted, str(started))
-            pool.drain()
-            thread.join(timeout=5)
-            # New tasks after the cancel must see a clean should_stop.
-            followers = [pool.submit(observe_stop) for _ in range(4)]
-            outcomes = pool.drain()
-        assert [outcomes[i].value for i in followers] == [False] * 4
-
     def test_worker_death_requeues_task(self, tmp_path):
         telemetry = tmp_path / "telemetry"
         # The first dispatch puts task i on slot i, so this kills task 1's
@@ -223,6 +124,17 @@ class TestWorkerMode:
             pool.submit(double, 1)
             with pytest.raises(TaskPoolError, match="giving up"):
                 pool.drain()
+
+    def test_workers_inherit_the_parent_default_dtype(self, float32_default):
+        # Each generation-0 worker runs one task and dies on its second, so
+        # tasks 2 and 3 run on respawns forked from the parent mid-drain.
+        plan = WorkerFaultPlan(kills=[(0, 0, 1), (1, 0, 1)])
+        with TaskPool(2, fault_plan=plan) as pool:
+            indices = [pool.submit(default_dtype_name) for _ in range(4)]
+            outcomes = pool.drain()
+        seen = [outcomes[i].value for i in indices]
+        assert [dtype for _, _, dtype in seen] == ["float32"] * 4
+        assert [generation for _, generation, _ in seen] == [0, 0, 1, 1]
 
 
 #: Runs a 2-worker pool whose one task returns a result larger than 1 MiB.
