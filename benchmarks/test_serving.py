@@ -45,7 +45,6 @@ def _daemon_config(telemetry_dir=None) -> DaemonConfig:
     return DaemonConfig(
         workers=WORKERS,
         max_batch=8,
-        max_delay_ms=2.0,
         queue_limit=4 * REQUESTS,  # latency run should never shed
         max_retries=3,
         nlist=NLIST,

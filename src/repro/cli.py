@@ -233,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--retrieval", choices=("exact", "ivf"), default="exact")
         p.add_argument("--nprobe", type=int, default=None, metavar="N")
         p.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batch size cap")
-        p.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch max delay budget")
+                       help="most requests one dispatch takes from the intake")
         p.add_argument("--queue-limit", type=int, default=64,
                        help="queued requests beyond this are shed")
         p.add_argument("--deadline-ms", type=float, default=None,
@@ -478,7 +476,6 @@ def _daemon_config_from_args(args: argparse.Namespace):
         port=getattr(args, "port", 0),
         workers=args.workers,
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         queue_limit=args.queue_limit,
         default_deadline_ms=args.deadline_ms,
         retrieval=args.retrieval,

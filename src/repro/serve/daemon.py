@@ -13,10 +13,13 @@ without giving up its bit-identity contract:
   (:mod:`~repro.serve.shard_merge`) reproduces single-process
   ``recommend`` output bit for bit. An IVF recommend scans only a
   shortlist, so it goes to one worker with the whole slot range, like a
-  ``score`` or ``warm`` op; the three share one round-robin counter.
-* Requests arrive over a JSON-lines socket (:mod:`~repro.serve.protocol`),
-  are micro-batched under a max-delay budget, sent to their workers, and
-  merged as results stream back — no barrier across requests.
+  ``score`` or ``warm`` op; the three go to the next idle slot in one
+  round-robin order.
+* Requests arrive over a JSON-lines socket (:mod:`~repro.serve.protocol`)
+  and go to their workers as soon as a worker slot is idle; only while
+  every slot has work in flight do they wait in the intake, to leave in
+  one batch when a slot frees. Results are merged as they stream back —
+  no barrier across requests.
 
 Robustness envelope (each failure mode is detected, mitigated, and keeps
 a stated guarantee — see DESIGN.md §14 for the full table):
@@ -100,10 +103,10 @@ class DaemonConfig:
     #: 0 binds an ephemeral port; read it back from ``daemon.port``.
     port: int = 0
     workers: int = 2
-    #: Micro-batch shape: flush a batch at ``max_batch`` requests or after
-    #: ``max_delay_ms`` of the oldest request waiting, whichever first.
+    #: Most requests one dispatch takes from the intake. The intake is
+    #: flushed as soon as a worker slot is idle, or at ``max_batch``
+    #: requests while every slot has work in flight.
     max_batch: int = 8
-    max_delay_ms: float = 2.0
     #: Admission bound: queued-but-undispatched requests beyond this shed.
     queue_limit: int = 64
     #: Applied when a request carries no ``deadline_ms`` (None = unbounded).
@@ -665,19 +668,20 @@ class RecommendDaemon:
     # ------------------------------------------------------------------
     def _batch_loop(self) -> None:
         cfg = self.config
-        max_delay = cfg.max_delay_ms / 1e3
         while True:
             with self._cv:
-                while not self._stopping:
-                    if self._intake:
-                        age = time.monotonic() - self._intake[0].arrival
-                        if len(self._intake) >= cfg.max_batch or age >= max_delay:
-                            break
-                        self._cv.wait(timeout=max(1e-4, max_delay - age))
-                    else:
-                        self._cv.wait(timeout=0.05)
-                if self._stopping:
-                    return
+                # stop() admits nothing more and drains what was admitted,
+                # so on stopping the intake goes out whatever the slots do.
+                while not self._intake or not (
+                    self._stopping
+                    or len(self._intake) >= cfg.max_batch
+                    or self._idle_slots()
+                ):
+                    if self._stopping:
+                        return
+                    # Woken by an admission, by a slot going idle
+                    # (_absorb_results, the housekeeping tick) or by stop().
+                    self._cv.wait()
                 batch = [
                     self._intake.popleft()
                     for _ in range(min(cfg.max_batch, len(self._intake)))
@@ -691,17 +695,29 @@ class RecommendDaemon:
                     {"status": "timeout", "error": "deadline expired in queue"},
                 )
 
-    def _next_slot(self) -> int:
-        """The next slot for a single-worker job, round robin (lock held)."""
-        slot = self._round_robin % self.config.workers
-        self._round_robin += 1
+    def _idle_slots(self) -> set[int]:
+        """Slots no outstanding job is waiting on (lock held)."""
+        busy = set().union(*(job.pending for job in self._outstanding.values()))
+        return set(range(self.config.workers)) - busy
+
+    def _next_slot(self, idle: set[int]) -> int:
+        """The slot for a single-worker job (lock held): the first idle one
+        in round-robin order, else plain round robin. The slot leaves
+        ``idle``."""
+        start, workers = self._round_robin, self.config.workers
+        slot = min(
+            idle, key=lambda s: (s - start) % workers, default=start % workers
+        )
+        self._round_robin = slot + 1
+        idle.discard(slot)
         return slot
 
     def _dispatch_batch(self, batch: list[_Request]) -> list[_Request]:
         """Turn admitted requests into per-slot job batches (lock held).
 
         An exact recommend fans out, one shard range per slot; an IVF
-        recommend, a ``score`` and a ``warm`` go to one slot, round robin.
+        recommend, a ``score`` and a ``warm`` go to one slot, the next idle
+        one in round-robin order (:meth:`_next_slot`).
 
         Returns the requests whose deadline already expired in the queue;
         the caller answers them after releasing the lock.
@@ -710,6 +726,7 @@ class RecommendDaemon:
         now = time.monotonic()
         per_slot: dict[int, list[dict]] = {}
         expired: list[_Request] = []
+        idle = self._idle_slots()
         for request in batch:
             if request.deadline is not None and now > request.deadline:
                 self._counters["timeouts"] += 1
@@ -743,9 +760,10 @@ class RecommendDaemon:
                 if retrieval == "ivf":
                     # A shortlist scan gains nothing from fanning out; it
                     # would only encode the user and probe on every slot.
-                    ranges = {self._next_slot(): (0, len(self.item_ids))}
+                    ranges = {self._next_slot(idle): (0, len(self.item_ids))}
                 else:
                     ranges = dict(enumerate(self._bounds))
+                    idle.clear()  # the fan-out keeps every slot busy
                 payloads = {
                     slot: dict(payload, lo=lo, hi=hi)
                     for slot, (lo, hi) in ranges.items()
@@ -763,7 +781,7 @@ class RecommendDaemon:
                         "op": "warm",
                         "users": list(message["users"]),
                     }
-                payloads = {self._next_slot(): payload}
+                payloads = {self._next_slot(idle): payload}
                 retrieval = None
             job = _Job(
                 job_id=job_id,
@@ -798,7 +816,9 @@ class RecommendDaemon:
 
     def _absorb_results(self, slot: int, entries: list) -> None:
         finished: list[tuple[_Job, dict]] = []
-        with self._lock:
+        with self._cv:
+            # Each entry, ok or error, may leave its slot idle.
+            self._cv.notify_all()
             for job_id, status, payload in entries:
                 job = self._outstanding.get(job_id)
                 if job is None or slot not in job.pending:
@@ -883,6 +903,10 @@ class RecommendDaemon:
                     self._stall_killed.discard(key)
                 self._watchdog()
                 self._sweep_deadlines(failed)
+                if failed:
+                    # A job dropped in flight (retry budget or deadline
+                    # spent) may leave its slot idle.
+                    self._cv.notify_all()
                 self._update_level()
                 now = time.monotonic()
                 if now - self._last_stats >= 1.0:

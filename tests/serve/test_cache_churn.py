@@ -141,7 +141,7 @@ class TestDaemonUnderChurn:
         reference = InferenceEngine(trained, **shape)
         items = sorted(reference.items.item_ids)[:3]
         config = DaemonConfig(
-            workers=2, cache_capacity=2, max_delay_ms=1.0,
+            workers=2, cache_capacity=2,
             telemetry_dir=str(tmp_path), **shape,
         )
         daemon = RecommendDaemon(trained, config).start()

@@ -25,9 +25,7 @@ from repro.serve.protocol import encode_message
 
 @pytest.fixture(scope="module")
 def daemon(trained):
-    config = DaemonConfig(
-        workers=2, nlist=8, nprobe=2, ann_seed=0, max_delay_ms=1.0
-    )
+    config = DaemonConfig(workers=2, nlist=8, nprobe=2, ann_seed=0)
     daemon = RecommendDaemon(trained, config).start()
     assert daemon.wait_ready(timeout=60)
     yield daemon
@@ -153,7 +151,8 @@ class TestBitIdentity:
 class TestPlacement:
     """Which slots a job reaches, seen through a spy on the supervisor's
     ``send``: exact recommends fan out over the shards, IVF recommends and
-    ``warm``/``score`` ops go to one slot, round robin."""
+    ``warm``/``score`` ops go to one slot, the next idle one in round-robin
+    order."""
 
     @pytest.fixture()
     def sends(self, daemon, monkeypatch):
@@ -217,6 +216,31 @@ class TestPlacement:
         for _ in range(2):
             assert client.warm(users[:2])["status"] == "ok"
         assert sorted(slot for slot, _ in self.jobs(sends, "warm")) == [0, 1]
+
+
+class TestWorkConserving:
+    def test_lone_request_on_idle_fleet_is_sent_without_waiting(
+        self, client, daemon, reference, users, monkeypatch
+    ):
+        # Spy on the batcher's condition: every wait records how many
+        # requests sat in the intake. On an idle fleet an admitted request
+        # must go straight to a worker, so no wait may ever see one.
+        intake_at_wait = []
+        wait = daemon._cv.wait
+
+        def spy(timeout=None):
+            intake_at_wait.append(len(daemon._intake))
+            return wait(timeout)
+
+        monkeypatch.setattr(daemon._cv, "wait", spy)
+        for user in users[:5]:
+            response = client.recommend(user, k=3, retrieval="ivf")
+            assert response["status"] == "ok"
+            assert response["items"] == wire_items(
+                reference, user, 3, retrieval="ivf"
+            )
+        assert intake_at_wait  # the batcher did wait, with nothing queued
+        assert not any(intake_at_wait)
 
 
 class TestRequestErrors:

@@ -25,7 +25,7 @@ from repro.serve import (
     build_schedule,
     run_loadtest,
 )
-from repro.serve.daemon import LEVEL_CACHED_ONLY, _Job
+from repro.serve.daemon import DRAIN_TIMEOUT_S, LEVEL_CACHED_ONLY, _Job
 
 FAST = bool(os.environ.get("REPRO_CHAOS_FAST"))
 
@@ -47,9 +47,7 @@ def wire_items(engine, user, k, **kwargs):
 
 
 def make_daemon(trained, **overrides):
-    config = DaemonConfig(
-        workers=2, nlist=8, nprobe=2, ann_seed=0, max_delay_ms=1.0, **overrides
-    )
+    config = DaemonConfig(workers=2, nlist=8, nprobe=2, ann_seed=0, **overrides)
     daemon = RecommendDaemon(trained, config).start()
     assert daemon.wait_ready(timeout=60)
     return daemon
@@ -239,6 +237,180 @@ class TestStalls:
         assert deaths[0]["worker"] == 0 and deaths[0]["generation"] == 0
         assert deaths[0]["stalled"] is True
         assert deaths[0]["requeued"] == 1
+
+
+def spy_sends(daemon, monkeypatch):
+    """Record ``(time, slot, jobs)`` for every batch the daemon sends."""
+    sent = []
+    send = daemon._supervisor.send
+
+    def spy(slot, message):
+        sent.append((time.monotonic(), slot, message[1]))
+        send(slot, message)
+
+    monkeypatch.setattr(daemon._supervisor, "send", spy)
+    return sent
+
+
+def wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.01)
+
+
+class TestIdleFirstPlacement:
+    def test_single_slot_jobs_skip_a_stalled_slot(
+        self, trained, reference, users, test_pairs, monkeypatch
+    ):
+        # Slot 0 wedges on its first batch for 5 s (inside the watchdog's
+        # budget). While it is busy, every single-slot job must go to the
+        # idle slot 1 and come back at once; round robin would queue every
+        # other one behind the stall.
+        plan = WorkerFaultPlan(stalls={(0, 0, 0): 5.0})
+        daemon = make_daemon(trained, fault_plan=plan, stall_timeout_s=60.0)
+        sends = spy_sends(daemon, monkeypatch)
+        try:
+            with ServeClient(daemon.config.host, daemon.port) as client:
+                stalled = client.send(
+                    {"op": "recommend", "user": users[0], "k": 5, "retrieval": "ivf"}
+                )
+                wait_for(lambda: sends)
+                assert sends[0][1] == 0
+                for i, user in enumerate(users[1:4]):
+                    response = client.request(
+                        {"op": "recommend", "user": user, "k": 5, "retrieval": "ivf"},
+                        timeout=2.0,
+                    )
+                    assert response["status"] == "ok"
+                    assert response["items"] == wire_items(
+                        reference, user, 5, retrieval="ivf"
+                    )
+                    pairs = test_pairs[3 * i:3 * i + 3]
+                    response = client.request(
+                        {"op": "score", "pairs": pairs}, timeout=2.0
+                    )
+                    assert response["status"] == "ok"
+                    assert response["scores"] == [
+                        float(s) for s in reference.score_pairs(pairs)
+                    ]
+                assert [slot for _, slot, _ in sends[1:]] == [1] * 6
+                response = client.wait(stalled, timeout=30)
+                assert response["status"] == "ok"
+                assert response["items"] == wire_items(
+                    reference, users[0], 5, retrieval="ivf"
+                )
+            stats = daemon.stats()
+        finally:
+            daemon.stop()
+        assert stats["deaths"] == 0 and stats["stall_kills"] == 0
+
+
+class TestOverload:
+    """Both slots stalled, then a pipelined burst: the intake holds what
+    no idle slot can take, sheds beyond ``queue_limit``, and lets the held
+    requests go in batches of at most ``max_batch``."""
+
+    STALL_S = 2.0
+
+    def occupy_both_slots(self, client, sends, users):
+        # An exact recommend fans out: one batch to each slot, both stall.
+        occupier = client.send({"op": "recommend", "user": users[0], "k": 5})
+        wait_for(lambda: len(sends) == 2)
+        return occupier
+
+    def make_stalled_daemon(self, trained, **overrides):
+        plan = WorkerFaultPlan(
+            stalls={(0, 0, 0): self.STALL_S, (1, 0, 0): self.STALL_S}
+        )
+        return make_daemon(
+            trained, fault_plan=plan, stall_timeout_s=60.0, **overrides
+        )
+
+    def test_burst_beyond_queue_limit_sheds_and_held_requests_batch(
+        self, trained, reference, users, monkeypatch
+    ):
+        daemon = self.make_stalled_daemon(trained, queue_limit=4)
+        sends = spy_sends(daemon, monkeypatch)
+        burst = [users[1 + i % 5] for i in range(10)]
+        try:
+            with ServeClient(daemon.config.host, daemon.port) as client:
+                occupier = self.occupy_both_slots(client, sends, users)
+                ids = [
+                    client.send({"op": "recommend", "user": user, "k": 5})
+                    for user in burst
+                ]
+                responses = [client.wait(i, timeout=30) for i in ids]
+                assert client.wait(occupier, timeout=30)["status"] == "ok"
+            stats = daemon.stats()
+        finally:
+            daemon.stop()
+        # Nothing leaves the intake while both slots are busy and it holds
+        # fewer than max_batch requests, so exactly queue_limit are held.
+        assert [r["status"] for r in responses] == ["ok"] * 4 + ["shed"] * 6
+        assert {r["reason"] for r in responses[4:]} == {"queue_full"}
+        for user, response in zip(burst, responses[:4]):
+            assert response["items"] == wire_items(reference, user, 5)
+        # When a slot frees, the four go out in one dispatch.
+        assert sorted(slot for _, slot, _ in sends[2:]) == [0, 1]
+        assert [len(jobs) for _, _, jobs in sends[2:]] == [4, 4]
+        assert stats["shed"] == 6 and stats["errors"] == 0
+
+    def test_full_intake_flushes_to_busy_slots_at_max_batch(
+        self, trained, reference, users, monkeypatch
+    ):
+        daemon = self.make_stalled_daemon(trained, max_batch=2)
+        sends = spy_sends(daemon, monkeypatch)
+        burst = users[1:6]
+        try:
+            with ServeClient(daemon.config.host, daemon.port) as client:
+                occupier = self.occupy_both_slots(client, sends, users)
+                ids = [
+                    client.send({"op": "recommend", "user": user, "k": 5})
+                    for user in burst
+                ]
+                responses = [client.wait(i, timeout=30) for i in ids]
+                assert client.wait(occupier, timeout=30)["status"] == "ok"
+        finally:
+            daemon.stop()
+        for user, response in zip(burst, responses):
+            assert response["status"] == "ok"
+            assert response["items"] == wire_items(reference, user, 5)
+        # Two full batches went to the busy slots; the fifth request
+        # waited for a slot to free.
+        batches = [len(jobs) for _, _, jobs in sends[2:]]
+        assert batches == [2, 2, 2, 2, 1, 1]
+        occupied_at = sends[0][0]
+        assert all(
+            t < occupied_at + self.STALL_S for t, _, _ in sends[2:6]
+        )
+        assert sends[6][0] >= occupied_at + self.STALL_S * 0.9
+
+    def test_stop_drains_held_requests(
+        self, trained, reference, users, monkeypatch
+    ):
+        # Requests held while both slots are busy are part of stop()'s
+        # drain: they are sent and answered, and stop() returns once the
+        # stall is over, not after its whole drain window.
+        daemon = self.make_stalled_daemon(trained)
+        sends = spy_sends(daemon, monkeypatch)
+        held_users = users[1:4]
+        with ServeClient(daemon.config.host, daemon.port) as client:
+            occupier = self.occupy_both_slots(client, sends, users)
+            ids = [
+                client.send({"op": "recommend", "user": user, "k": 5})
+                for user in held_users
+            ]
+            wait_for(lambda: daemon.stats()["queued"] == len(ids))
+            started = time.monotonic()
+            daemon.stop()
+            stopped_in = time.monotonic() - started
+            assert client.wait(occupier, timeout=5)["status"] == "ok"
+            for request_id, user in zip(ids, held_users):
+                response = client.wait(request_id, timeout=5)
+                assert response["status"] == "ok"
+                assert response["items"] == wire_items(reference, user, 5)
+        assert stopped_in < DRAIN_TIMEOUT_S - 1.0
 
 
 class TestPoison:
